@@ -19,8 +19,8 @@ changing (Section III-B).  This package is that claim as an API:
 * ``workers=N`` on the spec switches fitness evaluation to a
   ``multiprocessing`` pool whose per-genome derived seeds make results
   bit-identical to the serial path.
-* ``vectorizer="numpy"`` compiles the population into stacked dense
-  inference plans (:mod:`repro.neat.compiled`) and steps every in-flight
+* ``vectorizer="numpy"`` compiles the population into per-layer edge
+  lists (:mod:`repro.neat.compiled`) and steps every in-flight
   episode per numpy call — composable with ``workers`` (each worker
   batches its shard) and reproducing the scalar fitness trajectories.
 * ``run_dir=...`` on :func:`run_experiment` records the run durably and

@@ -12,7 +12,7 @@ environment once in the pool initializer and re-uses it across
 generations, mirroring the serial evaluator's single-env loop.
 
 ``vectorizer="numpy"`` composes with workers: each worker compiles its
-contiguous slice of the population into stacked dense plans
+contiguous slice of the population into per-layer edge lists
 (:mod:`repro.neat.compiled`) and rolls the slice's episodes out in
 lockstep, so large populations batch *within* processes while sharding
 *across* them.  Seeds still come from the parent with the serial

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
@@ -57,8 +59,8 @@ class ExperimentSpec:
     workers: int = 1
     #: Inference strategy for the software evolution loop: ``scalar``
     #: walks each genome's graph node by node (the bit-compatible
-    #: reference), ``numpy`` compiles the population into stacked dense
-    #: plans and steps whole generations per numpy call
+    #: reference), ``numpy`` compiles the population into per-layer edge
+    #: lists and steps whole generations per numpy call
     #: (:mod:`repro.neat.compiled`).
     vectorizer: str = "scalar"
     backend_options: Dict[str, Any] = field(default_factory=dict)
@@ -88,8 +90,24 @@ class ExperimentSpec:
             raise SpecError("pop_size must be >= 2")
         if self.episodes < 1:
             raise SpecError("episodes must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise SpecError("max_steps must be >= 1 when set")
+        # An int, not a float: episode loops run ``range(max_steps)``.
+        if self.max_steps is not None and not (
+            isinstance(self.max_steps, numbers.Integral)
+            and not isinstance(self.max_steps, bool)
+            and self.max_steps >= 1
+        ):
+            raise SpecError(
+                f"max_steps must be an integer >= 1 when set, got {self.max_steps!r}"
+            )
+        if self.fitness_threshold is not None and not (
+            isinstance(self.fitness_threshold, numbers.Real)
+            and not isinstance(self.fitness_threshold, bool)
+            and math.isfinite(self.fitness_threshold)
+        ):
+            raise SpecError(
+                "fitness_threshold must be a finite number when set, "
+                f"got {self.fitness_threshold!r}"
+            )
         if self.workers < 1:
             raise SpecError("workers must be >= 1")
         if self.vectorizer not in VECTORIZERS:

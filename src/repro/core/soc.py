@@ -169,7 +169,7 @@ class GeneSysSoC:
         lane of one batched environment — while the hardware counters are
         charged exactly through a :class:`StackedAdamEnvelope` (per-pass
         costs are static per plan, so cost = per-pass x steps in pure
-        integer arithmetic).  Genomes the dense compiler cannot express
+        integer arithmetic).  Genomes the compiler cannot express
         fall back to the serial ADAM walk on the same seeds.
         """
         from ..neat.compiled import CompileError, StackedPlans, compile_network

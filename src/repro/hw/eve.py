@@ -104,9 +104,11 @@ class GeneMerge:
           (a dangler can slip through when the Add Gene engine pairs a
           stored source with a destination whose node a later stage
           deletes),
-        * drop *newly added* connections that would create a cycle
-          (the two-cycle add mechanism guarantees valid endpoints but not
-          acyclicity; validation happens here at merge),
+        * drop connections that would close a cycle: inherited ones first,
+          then newly added ones, each in stream order.  Both need the
+          check: the two-cycle add mechanism guarantees valid endpoints but
+          not acyclicity, and a child can inherit 3->4 from one parent and
+          4->3 from the other (validation happens here at merge),
         * emit nodes sorted by id, then connections sorted by key.
         """
         nodes: Dict[int, PackedGene] = {}
@@ -124,7 +126,6 @@ class GeneMerge:
                     self.dropped_invalid += 1
 
         node_ids = set(nodes)
-        valid_conns: Dict[Tuple[int, int], PackedGene] = {}
         inherited: List[Tuple[int, int]] = []
         added: List[Tuple[int, int]] = []
         for key in order:
@@ -134,14 +135,16 @@ class GeneMerge:
                 continue
             (inherited if key in parent_conn_keys else added).append(key)
 
-        for key in inherited:
-            valid_conns[key] = conns[key]
-        # Newly added connections are admitted one by one, rejecting any
-        # that would close a cycle over the connections kept so far.
-        for key in added:
-            if _creates_cycle(valid_conns.keys(), key):
+        # Connections are admitted one by one, rejecting any that would
+        # close a cycle over the connections kept so far.
+        valid_conns: Dict[Tuple[int, int], PackedGene] = {}
+        successors: Dict[int, List[int]] = {}
+        for key in inherited + added:
+            src, dst = key
+            if _reaches(successors, dst, src):
                 self.dropped_invalid += 1
                 continue
+            successors.setdefault(src, []).append(dst)
             valid_conns[key] = conns[key]
 
         stream = [nodes[i] for i in sorted(nodes)]
@@ -149,20 +152,15 @@ class GeneMerge:
         return stream
 
 
-def _creates_cycle(existing_keys, candidate: Tuple[int, int]) -> bool:
-    a, b = candidate
-    if a == b:
-        return True
-    adjacency: Dict[int, List[int]] = {}
-    for src, dst in existing_keys:
-        adjacency.setdefault(src, []).append(dst)
-    frontier = [b]
-    seen = {b}
+def _reaches(successors: Dict[int, List[int]], start: int, goal: int) -> bool:
+    """Is ``goal`` reachable from ``start`` (itself included)?"""
+    frontier = [start]
+    seen = {start}
     while frontier:
         node = frontier.pop()
-        if node == a:
+        if node == goal:
             return True
-        for nxt in adjacency.get(node, ()):
+        for nxt in successors.get(node, ()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)

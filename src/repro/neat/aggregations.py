@@ -16,7 +16,13 @@ AggregationFunction = Callable[[Iterable[float]], float]
 
 
 def sum_aggregation(values: Iterable[float]) -> float:
-    return sum(values)
+    # Plain left-to-right addition, which is what the compiled kernel's
+    # bincount does, on every Python version (from 3.12 the builtin sum()
+    # compensates float rounding).
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def product_aggregation(values: Iterable[float]) -> float:

@@ -1,21 +1,28 @@
-"""Compiled batch inference: levelised genomes as dense numpy plans.
+"""Compiled batch inference: levelised genomes as per-layer edge lists.
 
 This is the software twin of the paper's *vectorize routine* (Section
 IV-A): the same :func:`feed_forward_layers` levelisation that
 :class:`repro.hw.adam.ADAM` packs into systolic waves is compiled here
-into per-layer dense weight/bias/response arrays, and a whole
-population's same-shape plans are padded and stacked so one numpy call
-advances every in-flight episode of a generation at once.
+into per-layer edge lists, one entry per enabled link, and a whole
+population's lists are concatenated so a few numpy calls per layer
+advance every in-flight episode of a generation at once.  Evolved
+graphs are small, sparse and irregular, so the kernel touches real
+links only: nothing is padded to a common shape.
 
 Three levels compose:
 
-* :func:`compile_network` — genome → :class:`CompiledNetwork`, a dense
-  per-layer plan functionally equivalent to
+* :func:`compile_network` — genome → :class:`CompiledNetwork`, per-layer
+  node arrays (value column, bias, response, activation) and edge arrays
+  (source column, destination node, weight), functionally equivalent to
   :class:`repro.neat.network.FeedForwardNetwork` (property-tested to
-  1e-9, and against the ADAM systolic model).
-* :class:`StackedPlans` — pads a population's plans to a common
-  ``(layers, nodes, columns)`` envelope and stacks them, giving each
-  genome its own weight block but one shared execution shape.
+  1e-12, and against the ADAM systolic model).
+* :class:`StackedPlans` — concatenates a population's arrays layer by
+  layer with per-plan offsets; :class:`LaneRunner` expands them to one
+  value-buffer row per lane.  Each layer step is one gather of source
+  values, one multiply by the weights, one ``np.bincount`` into the
+  layer's nodes (it adds in input order without compensation, exactly as
+  the scalar network's ``sum`` aggregation does), the activation and one
+  flat scatter.
 * :class:`BatchedEvaluator` — a drop-in
   :class:`repro.envs.evaluate.FitnessEvaluator`: same constructor
   surface, same callable protocol, same per-genome derived episode
@@ -41,7 +48,7 @@ from .network import FeedForwardNetwork, feed_forward_layers
 
 
 class CompileError(ValueError):
-    """Raised for genomes the dense compiler cannot express."""
+    """Raised for genomes the compiler cannot express."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,20 +59,27 @@ class CompileError(ValueError):
 # with the node-by-node reference to float rounding.
 
 
+def _clip(z, low, high):
+    # np.clip without its Python-level wrapper.  Same bits, except that -0.0
+    # at a zero bound comes out as 0.0; only _elu clips to zero, and it
+    # feeds the value to exp(), so every activation's output is unchanged.
+    return np.minimum(np.maximum(z, low), high)
+
+
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(5.0 * z, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-_clip(5.0 * z, -60.0, 60.0)))
 
 
 def _tanh(z):
-    return np.tanh(np.clip(2.5 * z, -60.0, 60.0))
+    return np.tanh(_clip(2.5 * z, -60.0, 60.0))
 
 
 def _sin(z):
-    return np.sin(np.clip(5.0 * z, -60.0, 60.0))
+    return np.sin(_clip(5.0 * z, -60.0, 60.0))
 
 
 def _gauss(z):
-    z = np.clip(z, -3.4, 3.4)
+    z = _clip(z, -3.4, 3.4)
     return np.exp(-5.0 * z * z)
 
 
@@ -76,7 +90,7 @@ def _relu(z):
 def _elu(z):
     # exp() evaluated on the clipped negative branch only, so the unused
     # half of the where() never overflows.
-    return np.where(z > 0.0, z, np.exp(np.clip(z, -60.0, 0.0)) - 1.0)
+    return np.where(z > 0.0, z, np.exp(_clip(z, -60.0, 0.0)) - 1.0)
 
 
 def _lelu(z):
@@ -88,7 +102,7 @@ def _identity(z):
 
 
 def _clamped(z):
-    return np.clip(z, -1.0, 1.0)
+    return _clip(z, -1.0, 1.0)
 
 
 def _inv(z):
@@ -101,7 +115,7 @@ def _log(z):
 
 
 def _exp(z):
-    return np.exp(np.clip(z, -60.0, 60.0))
+    return np.exp(_clip(z, -60.0, 60.0))
 
 
 def _abs(z):
@@ -113,12 +127,12 @@ def _hat(z):
 
 
 def _square(z):
-    z = np.clip(z, -1e8, 1e8)
+    z = _clip(z, -1e8, 1e8)
     return z * z
 
 
 def _cube(z):
-    z = np.clip(z, -1e6, 1e6)
+    z = _clip(z, -1e6, 1e6)
     return z * z * z
 
 
@@ -161,21 +175,39 @@ def vectorized_activation_names() -> List[str]:
 
 @dataclass
 class LayerPlan:
-    """One levelisation wave as dense arrays over the value buffer."""
+    """One levelisation wave as an edge list over the value buffer.
 
-    node_cols: List[int]  # value-buffer column written per updated node
-    links: List[List[Tuple[int, float]]]  # per node: (source column, weight)
+    Edge ``i`` adds ``value[edge_src[i]] * edge_weight[i]`` into node row
+    ``edge_dst[i]``.  Each node's edges keep its sorted-link order, the
+    order :class:`FeedForwardNetwork` sums in.
+    """
+
+    node_cols: np.ndarray  # (n,) value-buffer column written per node
     bias: np.ndarray  # (n,)
     response: np.ndarray  # (n,)
     activations: Tuple[str, ...]
+    edge_src: np.ndarray  # (e,) source column
+    edge_dst: np.ndarray  # (e,) destination node row within this layer
+    edge_weight: np.ndarray  # (e,)
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_cols)
 
 
+_NO_LAYER = LayerPlan(
+    node_cols=np.empty(0, dtype=np.intp),
+    bias=np.empty(0),
+    response=np.empty(0),
+    activations=(),
+    edge_src=np.empty(0, dtype=np.intp),
+    edge_dst=np.empty(0, dtype=np.intp),
+    edge_weight=np.empty(0),
+)
+
+
 class CompiledNetwork:
-    """Dense per-layer execution plan for one genome.
+    """Per-layer edge-list execution plan for one genome.
 
     The value buffer lays inputs out at columns ``0..num_inputs-1`` (in
     ``config.input_keys`` order) and outputs at the next ``num_outputs``
@@ -198,18 +230,6 @@ class CompiledNetwork:
         self.num_columns = num_columns
         self.layers = layers
         self.num_macs = num_macs
-        self._dense: Optional[List[np.ndarray]] = None
-
-    def _dense_weights(self) -> List[np.ndarray]:
-        if self._dense is None:
-            self._dense = []
-            for layer in self.layers:
-                weights = np.zeros((layer.num_nodes, self.num_columns))
-                for row, links in enumerate(layer.links):
-                    for col, weight in links:
-                        weights[row, col] = weight
-                self._dense.append(weights)
-        return self._dense
 
     def activate_batch(self, observations: np.ndarray) -> np.ndarray:
         """Forward ``(batch, num_inputs)`` observations to ``(batch, num_outputs)``."""
@@ -219,17 +239,8 @@ class CompiledNetwork:
                 f"expected (batch, {self.num_inputs}) observations, "
                 f"got {observations.shape}"
             )
-        batch = observations.shape[0]
-        values = np.zeros((batch, self.num_columns))
-        values[:, : self.num_inputs] = observations
-        for layer, weights in zip(self.layers, self._dense_weights()):
-            pre = layer.bias + layer.response * (values @ weights.T)
-            post = np.zeros_like(pre)
-            for name in set(layer.activations):
-                rows = [i for i, a in enumerate(layer.activations) if a == name]
-                post[:, rows] = _VECTORIZED[name](pre[:, rows])
-            values[:, layer.node_cols] = post
-        return values[:, self.num_inputs : self.num_inputs + self.num_outputs]
+        lanes = np.zeros(observations.shape[0], dtype=np.intp)
+        return StackedPlans([self]).lane_runner(lanes).step(observations)
 
     def activate(self, inputs: Sequence[float]) -> List[float]:
         """Single forward pass, mirroring ``FeedForwardNetwork.activate``."""
@@ -237,11 +248,12 @@ class CompiledNetwork:
 
 
 def compile_network(genome: Genome, config: GenomeConfig) -> CompiledNetwork:
-    """Levelise ``genome`` and build its dense per-layer plan.
+    """Levelise ``genome`` and build its per-layer edge lists.
 
-    Raises :class:`CompileError` for genomes a matrix-vector wave cannot
-    express: non-sum aggregations and activations without a registered
-    numpy twin (the same restriction the ADAM systolic model has).
+    Raises :class:`CompileError` for genomes a multiply-accumulate wave
+    cannot express: non-sum aggregations and activations without a
+    registered numpy twin (the same restriction the ADAM systolic model
+    has).
     """
     enabled = [key for key, conn in genome.connections.items() if conn.enabled]
     layers = feed_forward_layers(config.input_keys, config.output_keys, enabled)
@@ -259,8 +271,8 @@ def compile_network(genome: Genome, config: GenomeConfig) -> CompiledNetwork:
     for layer in layers:
         nodes = list(layer)
         links_by_node = {n: sorted(incoming.get(n, [])) for n in nodes}
-        # Sources first (sorted), then the layer's own nodes: matches the
-        # scalar evaluator's sorted-link iteration for reproducibility.
+        # Sources first (sorted), then the layer's own nodes: a stable
+        # column layout, independent of dict iteration order.
         for src in sorted({s for n in nodes for s, _ in links_by_node[n]}):
             columns.setdefault(src, len(columns))
         for n in nodes:
@@ -268,13 +280,15 @@ def compile_network(genome: Genome, config: GenomeConfig) -> CompiledNetwork:
         bias = np.empty(len(nodes))
         response = np.empty(len(nodes))
         activations = []
-        links: List[List[Tuple[int, float]]] = []
+        edge_src: List[int] = []
+        edge_dst: List[int] = []
+        edge_weight: List[float] = []
         for row, n in enumerate(nodes):
             node = genome.nodes[n]
             if node.aggregation != "sum":
                 raise CompileError(
                     f"node {n} uses aggregation {node.aggregation!r}; "
-                    "dense plans pack sum-aggregation genomes only"
+                    "compiled plans pack sum-aggregation genomes only"
                 )
             if node.activation not in _VECTORIZED:
                 raise CompileError(
@@ -284,15 +298,20 @@ def compile_network(genome: Genome, config: GenomeConfig) -> CompiledNetwork:
             bias[row] = node.bias
             response[row] = node.response
             activations.append(node.activation)
-            links.append([(columns[s], w) for s, w in links_by_node[n]])
-            num_macs += len(links_by_node[n])
+            for s, w in links_by_node[n]:
+                edge_src.append(columns[s])
+                edge_dst.append(row)
+                edge_weight.append(w)
+        num_macs += len(edge_weight)
         plan_layers.append(
             LayerPlan(
-                node_cols=[columns[n] for n in nodes],
-                links=links,
+                node_cols=np.array([columns[n] for n in nodes], dtype=np.intp),
                 bias=bias,
                 response=response,
                 activations=tuple(activations),
+                edge_src=np.array(edge_src, dtype=np.intp),
+                edge_dst=np.array(edge_dst, dtype=np.intp),
+                edge_weight=np.array(edge_weight, dtype=np.float64),
             )
         )
     return CompiledNetwork(
@@ -309,15 +328,25 @@ def compile_network(genome: Genome, config: GenomeConfig) -> CompiledNetwork:
 # population stacking
 
 
-class StackedPlans:
-    """A population's plans padded to one envelope and stacked.
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    """Start offset of each segment when segments of ``counts`` (in
+    row-major order) are laid end to end."""
+    return (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
 
-    Every genome gets its own ``(layers, nodes, columns)`` weight block;
-    padding rows carry zero bias/response and scatter into a trash
-    column, so one batched matmul per layer serves structurally diverse
-    genomes without grouping.  ``PAD`` activation slots are written as
-    0.0 (finite), keeping the trash column out of NaN territory for the
-    full-width products of later layers.
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[i], starts[i] + counts[i])`` for every ``i``."""
+    shift = starts - _exclusive_cumsum(counts)
+    return np.repeat(shift, counts) + np.arange(counts.sum())
+
+
+class StackedPlans:
+    """A population's plans concatenated layer by layer, with no padding.
+
+    Node and edge arrays run layer-major, then plan by plan:
+    ``node_start[l, p]`` and ``node_count[l, p]`` (likewise ``edge_*``)
+    locate plan ``p``'s share of layer ``l``, empty when the plan has
+    fewer layers.  ``edge_dst`` is a node row within that share.
     """
 
     def __init__(self, plans: Sequence[CompiledNetwork]) -> None:
@@ -326,49 +355,35 @@ class StackedPlans:
         self.plans = list(plans)
         self.num_inputs = plans[0].num_inputs
         self.num_outputs = plans[0].num_outputs
-        num_plans = len(plans)
         self.num_layers = max(len(p.layers) for p in plans)
-        max_nodes = max((l.num_nodes for p in plans for l in p.layers), default=1)
-        max_cols = max(p.num_columns for p in plans)
-        self.trash_col = max_cols
-        self.num_columns = max_cols + 1
-
-        shape = (num_plans, self.num_layers, max_nodes)
-        self.weights = np.zeros(shape + (self.num_columns,))
-        self.bias = np.zeros(shape)
-        self.response = np.zeros(shape)
-        self.node_cols = np.full(shape, self.trash_col, dtype=np.intp)
+        self.num_columns = max(p.num_columns for p in plans)
         self.macs = np.array([p.num_macs for p in plans], dtype=np.int64)
-        # -1 marks padding; real slots hold an index into self.act_fns.
-        self.act_codes = np.full(shape, -1, dtype=np.int16)
+        layers = [
+            p.layers[depth] if depth < len(p.layers) else _NO_LAYER
+            for depth in range(self.num_layers)
+            for p in plans
+        ]
         act_index: Dict[str, int] = {}
         self.act_fns: List[Callable[[np.ndarray], np.ndarray]] = []
-        for g, plan in enumerate(plans):
-            for l, layer in enumerate(plan.layers):
-                n = layer.num_nodes
-                self.bias[g, l, :n] = layer.bias
-                self.response[g, l, :n] = layer.response
-                self.node_cols[g, l, :n] = layer.node_cols
-                for row, links in enumerate(layer.links):
-                    for col, weight in links:
-                        self.weights[g, l, row, col] = weight
-                for row, name in enumerate(layer.activations):
-                    if name not in act_index:
-                        act_index[name] = len(self.act_fns)
-                        self.act_fns.append(_VECTORIZED[name])
-                    self.act_codes[g, l, row] = act_index[name]
-        #: Per layer: the single activation serving every real slot (the
-        #: overwhelmingly common single-option config fast path), or None
-        #: when the layer mixes activations and needs per-code masking.
-        self.layer_act: List[Optional[Callable[[np.ndarray], np.ndarray]]] = []
-        for l in range(self.num_layers):
-            codes = {c for c in self.act_codes[:, l].ravel().tolist() if c >= 0}
-            if len(codes) == 1:
-                self.layer_act.append(self.act_fns[codes.pop()])
-            elif not codes:  # all-padding layer (cannot happen for l < depth)
-                self.layer_act.append(_identity)
-            else:
-                self.layer_act.append(None)
+        codes = []
+        for layer in layers:
+            for name in layer.activations:
+                if name not in act_index:
+                    act_index[name] = len(self.act_fns)
+                    self.act_fns.append(_VECTORIZED[name])
+                codes.append(act_index[name])
+        self.node_act = np.array(codes, dtype=np.intp)
+        shape = (self.num_layers, len(plans))
+        self.node_count = np.array([x.num_nodes for x in layers]).reshape(shape)
+        self.edge_count = np.array([len(x.edge_src) for x in layers]).reshape(shape)
+        self.node_start = _exclusive_cumsum(self.node_count)
+        self.edge_start = _exclusive_cumsum(self.edge_count)
+        self.node_cols = np.concatenate([x.node_cols for x in layers])
+        self.node_bias = np.concatenate([x.bias for x in layers])
+        self.node_response = np.concatenate([x.response for x in layers])
+        self.edge_src = np.concatenate([x.edge_src for x in layers])
+        self.edge_dst = np.concatenate([x.edge_dst for x in layers])
+        self.edge_weight = np.concatenate([x.edge_weight for x in layers])
 
     def lane_runner(self, lane_plans: Sequence[int]) -> "LaneRunner":
         """A rollout view with one row per lane (``lane_plans[i]`` is the
@@ -376,55 +391,121 @@ class StackedPlans:
         return LaneRunner(self, np.asarray(lane_plans, dtype=np.intp))
 
 
+def _mixed_activation(
+    groups: List[Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]]
+) -> Callable[[np.ndarray], np.ndarray]:
+    def apply(pre: np.ndarray) -> np.ndarray:
+        post = np.empty_like(pre)
+        for fn, rows in groups:
+            post[rows] = fn(pre[rows])
+        return post
+
+    return apply
+
+
 class LaneRunner:
-    """Per-lane compacted view of :class:`StackedPlans` for one rollout.
+    """Per-lane edge lists of :class:`StackedPlans` for one rollout.
 
     Implements the ``step(obs) -> outputs`` / ``prune(keep)`` policy
-    protocol of :func:`repro.envs.evaluate.run_episodes_batched`.  All
-    per-lane arrays are gathered once at construction and compacted in
-    step with the environment, so the hot loop is pure sliced numpy.
+    protocol of :func:`repro.envs.evaluate.run_episodes_batched`.  Each
+    lane owns one row of the value buffer.  Nodes and edges run
+    layer-major, then lane by lane, so ``edges["dst"]`` (a node index)
+    never decreases: each layer is a contiguous slice, and one
+    ``bincount`` over it adds every node's links in the scalar
+    network's order.  ``prune`` compacts the node and edge arrays to the
+    lanes still running.
     """
 
     def __init__(self, stacked: StackedPlans, lane_plans: np.ndarray) -> None:
-        self._stacked = stacked
-        self.weights = stacked.weights[lane_plans]
-        self.bias = stacked.bias[lane_plans]
-        self.response = stacked.response[lane_plans]
-        self.node_cols = stacked.node_cols[lane_plans]
-        self.act_codes = stacked.act_codes[lane_plans]
         self.num_inputs = stacked.num_inputs
         self.num_outputs = stacked.num_outputs
         self.num_columns = stacked.num_columns
+        self.num_layers = stacked.num_layers
+        self._act_fns = stacked.act_fns
+        # One segment per (layer, lane), layer-major.
+        segment_lane = np.tile(np.arange(len(lane_plans)), self.num_layers)
+        node_count = stacked.node_count[:, lane_plans].ravel()
+        edge_count = stacked.edge_count[:, lane_plans].ravel()
+        nodes = _ragged(stacked.node_start[:, lane_plans].ravel(), node_count)
+        edges = _ragged(stacked.edge_start[:, lane_plans].ravel(), edge_count)
+        first_node = _exclusive_cumsum(node_count)
+        self._nodes = {
+            "lane": np.repeat(segment_lane, node_count),
+            "layer": np.repeat(
+                np.arange(self.num_layers),
+                node_count.reshape(self.num_layers, -1).sum(axis=1),
+            ),
+            "col": stacked.node_cols[nodes],
+            "bias": stacked.node_bias[nodes],
+            "response": stacked.node_response[nodes],
+            "act": stacked.node_act[nodes],
+        }
+        self._edges = {
+            "lane": np.repeat(segment_lane, edge_count),
+            "src": stacked.edge_src[edges],
+            "dst": stacked.edge_dst[edges] + np.repeat(first_node, edge_count),
+            "weight": stacked.edge_weight[edges],
+        }
+        self._num_rows = len(lane_plans)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Slice the arrays into per-layer kernel arguments."""
+        nodes, edges = self._nodes, self._edges
+        node_bounds = np.searchsorted(nodes["layer"], np.arange(self.num_layers + 1))
+        edge_bounds = np.searchsorted(edges["dst"], node_bounds)
+        src = edges["lane"] * self.num_columns + edges["src"]
+        put = nodes["lane"] * self.num_columns + nodes["col"]
+        self._kernel = []
+        for depth in range(self.num_layers):
+            n0, n1 = node_bounds[depth], node_bounds[depth + 1]
+            e0, e1 = edge_bounds[depth], edge_bounds[depth + 1]
+            if n0 == n1:
+                continue
+            if len(self._act_fns) == 1:
+                act = self._act_fns[0]
+            else:
+                codes = nodes["act"][n0:n1]
+                groups = [
+                    (fn, np.flatnonzero(codes == code))
+                    for code, fn in enumerate(self._act_fns)
+                ]
+                groups = [(fn, rows) for fn, rows in groups if len(rows)]
+                act = groups[0][0] if len(groups) == 1 else _mixed_activation(groups)
+            self._kernel.append(
+                (
+                    src[e0:e1],
+                    edges["dst"][e0:e1] - n0,
+                    edges["weight"][e0:e1],
+                    nodes["bias"][n0:n1],
+                    nodes["response"][n0:n1],
+                    put[n0:n1],
+                    act,
+                )
+            )
 
     def step(self, observations: np.ndarray) -> np.ndarray:
-        stacked = self._stacked
-        lanes = observations.shape[0]
-        values = np.zeros((lanes, self.num_columns))
+        values = np.zeros((self._num_rows, self.num_columns))
         values[:, : self.num_inputs] = observations
-        rows = np.arange(lanes)[:, None]
-        for l in range(stacked.num_layers):
-            pre = self.bias[:, l] + self.response[:, l] * np.matmul(
-                self.weights[:, l], values[:, :, None]
-            )[:, :, 0]
-            layer_fn = stacked.layer_act[l]
-            if layer_fn is not None:
-                post = layer_fn(pre)
-            else:
-                post = np.zeros_like(pre)
-                codes = self.act_codes[:, l]
-                for code, fn in enumerate(stacked.act_fns):
-                    mask = codes == code
-                    if mask.any():
-                        post[mask] = fn(pre[mask])
-            values[rows, self.node_cols[:, l]] = post
+        flat = values.ravel()
+        for src, dst, weight, bias, response, put, act in self._kernel:
+            sums = np.bincount(dst, weights=flat.take(src) * weight, minlength=len(bias))
+            flat[put] = act(bias + response * sums)
         return values[:, self.num_inputs : self.num_inputs + self.num_outputs]
 
     def prune(self, keep: np.ndarray) -> None:
-        self.weights = self.weights[keep]
-        self.bias = self.bias[keep]
-        self.response = self.response[keep]
-        self.node_cols = self.node_cols[keep]
-        self.act_codes = self.act_codes[keep]
+        keep = np.asarray(keep, dtype=bool)
+        new_row = np.cumsum(keep) - 1
+        node_keep = keep[self._nodes["lane"]]
+        edge_keep = keep[self._edges["lane"]]
+        new_node = np.cumsum(node_keep) - 1
+        self._nodes = {k: v[node_keep] for k, v in self._nodes.items()}
+        self._edges = {k: v[edge_keep] for k, v in self._edges.items()}
+        self._nodes["lane"] = new_row[self._nodes["lane"]]
+        self._edges["lane"] = new_row[self._edges["lane"]]
+        self._edges["dst"] = new_node[self._edges["dst"]]
+        self._num_rows = int(keep.sum())
+        self._bind()
 
 
 # ---------------------------------------------------------------------------

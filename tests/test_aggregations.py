@@ -25,6 +25,8 @@ def functions():
 def test_sum():
     assert sum_aggregation([1.0, 2.0, 3.0]) == 6.0
     assert sum_aggregation([]) == 0.0
+    # Left to right, uncompensated, on every Python version.
+    assert sum_aggregation([1e16, 1.0, -1e16]) == 0.0
 
 
 def test_product():

@@ -37,10 +37,37 @@ class TestConstruction:
         {"env_id": "CartPole-v0", "workers": 0},
         {"env_id": "CartPole-v0", "vectorizer": "cuda"},
         {"env_id": "CartPole-v0", "vectorizer": ""},
+        {"env_id": "CartPole-v0", "max_steps": float("nan")},
+        {"env_id": "CartPole-v0", "max_steps": float("inf")},
+        {"env_id": "CartPole-v0", "max_steps": 2.5},
+        {"env_id": "CartPole-v0", "max_steps": 200.0},
+        {"env_id": "CartPole-v0", "max_steps": True},
+        {"env_id": "CartPole-v0", "fitness_threshold": float("nan")},
+        {"env_id": "CartPole-v0", "fitness_threshold": float("inf")},
+        {"env_id": "CartPole-v0", "fitness_threshold": float("-inf")},
+        {"env_id": "CartPole-v0", "fitness_threshold": "200"},
+        {"env_id": "CartPole-v0", "fitness_threshold": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(SpecError):
             ExperimentSpec(**kwargs)
+
+    def test_int_max_steps_and_finite_threshold_accepted(self):
+        spec = ExperimentSpec("CartPole-v0", max_steps=1, fitness_threshold=-1e9)
+        assert spec.max_steps == 1
+        assert spec.fitness_threshold == -1e9
+
+    def test_non_finite_threshold_rejected_from_json(self):
+        # json.loads maps the NaN/Infinity literals to floats.
+        for literal in ("NaN", "Infinity"):
+            text = f'{{"env_id": "CartPole-v0", "fitness_threshold": {literal}}}'
+            with pytest.raises(SpecError, match="fitness_threshold"):
+                ExperimentSpec.from_json(text)
+
+    def test_string_threshold_rejected_from_json(self):
+        text = '{"env_id": "CartPole-v0", "fitness_threshold": "200"}'
+        with pytest.raises(SpecError, match="fitness_threshold"):
+            ExperimentSpec.from_json(text)
 
     def test_vectorizer_default_scalar(self):
         assert ExperimentSpec("CartPole-v0").vectorizer == "scalar"

@@ -21,6 +21,7 @@ from repro.envs.evaluate import FitnessEvaluator
 from repro.hw.adam import ADAM, build_inference_plan
 from repro.neat import Genome, GenomeConfig, InnovationTracker
 from repro.neat.activations import ActivationFunctionSet
+from repro.neat.genes import ConnectionGene
 from repro.neat.compiled import (
     BatchedEvaluator,
     CompileError,
@@ -60,6 +61,24 @@ def test_compiled_matches_reference_simple():
     network = FeedForwardNetwork.create(genome, config)
     inputs = [0.3, -1.2, 0.8]
     assert plan.activate(inputs) == pytest.approx(network.activate(inputs), abs=1e-9)
+
+
+def test_compiled_sums_links_in_scalar_order_bitwise():
+    """Both paths add a node's links left to right without compensation
+    (the builtin ``sum()`` compensates from Python 3.12), so identity
+    networks agree bit for bit where a compensated sum would not."""
+    genome, config = evolved(0, num_outputs=1, steps=0, activations=("identity",))
+    out = config.output_keys[0]
+    genome.nodes = {out: genome.nodes[out]}
+    genome.nodes[out].bias = 0.0
+    genome.nodes[out].response = 1.0
+    genome.connections = {
+        (key, out): ConnectionGene((key, out), weight=1.0) for key in config.input_keys
+    }
+    # Sorted links visit input -3 first: (1e16 + 1.0) - 1e16 == 0.0.
+    inputs = [-1e16, 1.0, 1e16]
+    assert FeedForwardNetwork.create(genome, config).activate(inputs) == [0.0]
+    assert compile_network(genome, config).activate(inputs) == [0.0]
 
 
 def test_compiled_macs_match_reference():
@@ -212,6 +231,106 @@ def test_lane_runner_prune_keeps_alignment():
     expected = runner.step(observations)[keep]
     runner.prune(keep)
     assert np.allclose(runner.step(observations[keep]), expected, atol=1e-12)
+
+
+def varied_population(seed, size, num_inputs, num_outputs, flags):
+    """Mixed-activation genomes; ``flags[i]`` = (silence output 0, kill a
+    hidden node) for genome ``i``.  Silencing deletes every link into the
+    first output; killing deletes a hidden node's outgoing links, leaving
+    it dead (not required for any output) but still fed."""
+    genomes = []
+    config = None
+    for i in range(size):
+        genome, config = evolved(
+            seed * 31 + i, num_inputs, num_outputs, steps=30,
+            activations=VARIED_ACTIVATIONS,
+        )
+        genome.key = i
+        silence, kill = flags[i]
+        if silence:
+            out = config.output_keys[0]
+            for key in [k for k in genome.connections if k[1] == out]:
+                del genome.connections[key]
+        hidden = sorted(set(genome.nodes) - set(config.output_keys))
+        if kill and hidden:
+            for key in [k for k in genome.connections if k[0] == hidden[0]]:
+                del genome.connections[key]
+        genomes.append(genome)
+    return genomes, config
+
+
+population_flags = st.lists(
+    st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    flags=population_flags,
+    episodes=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_lane_runner_matches_network_through_prunes(seed, flags, episodes, data):
+    """Every live lane matches its genome's scalar network after any
+    sequence of prunes, with mixed activations in one layer."""
+    genomes, config = varied_population(seed, len(flags), 3, 2, flags)
+    networks = [FeedForwardNetwork.create(g, config) for g in genomes]
+    lane_plans = [p for p in range(len(genomes)) for _ in range(episodes)]
+    runner = StackedPlans(
+        [compile_network(g, config) for g in genomes]
+    ).lane_runner(lane_plans)
+    live = list(range(len(lane_plans)))
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        observations = rng.uniform(-3.0, 3.0, size=(len(live), 3))
+        outputs = runner.step(observations)
+        assert outputs.shape == (len(live), 2)
+        for row, lane in enumerate(live):
+            expected = networks[lane_plans[lane]].activate(observations[row].tolist())
+            assert outputs[row].tolist() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        keep = np.array(
+            data.draw(st.lists(st.booleans(), min_size=len(live), max_size=len(live))),
+            dtype=bool,
+        )
+        runner.prune(keep)
+        live = [lane for lane, kept in zip(live, keep) if kept]
+        if not live:
+            break
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    flags=population_flags,
+    episodes=st.integers(min_value=1, max_value=3),
+    max_steps=st.integers(min_value=1, max_value=60),
+)
+def test_batched_episodes_match_scalar_episodes(seed, flags, episodes, max_steps):
+    """CartPole lanes end at different steps, so the rollout prunes as
+    it goes; every lane must replay its scalar episode exactly."""
+    from repro.envs.batched import make_batched
+    from repro.envs.evaluate import run_episode, run_episodes_batched
+    from repro.envs.registry import make
+
+    genomes, config = varied_population(seed, len(flags), 4, 2, flags)
+    plans = [compile_network(g, config) for g in genomes]
+    lane_plans = [p for p in range(len(genomes)) for _ in range(episodes)]
+    seeds = [seed * 7 + lane for lane in range(len(lane_plans))]
+    observed = run_episodes_batched(
+        StackedPlans(plans).lane_runner(lane_plans),
+        make_batched("CartPole-v0"),
+        seeds,
+        max_steps=max_steps,
+        macs_per_pass=[plans[p].num_macs for p in lane_plans],
+    )
+    env = make("CartPole-v0")
+    expected = []
+    for p, episode_seed in zip(lane_plans, seeds):
+        env.seed(episode_seed)
+        network = FeedForwardNetwork.create(genomes[p], config)
+        expected.append(run_episode(network, env, max_steps))
+    assert observed == expected
 
 
 # ---------------------------------------------------------------------------

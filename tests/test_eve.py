@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from repro.hw.adam import ADAM, build_inference_plan
 from repro.hw.eve import EvEConfig, EvolutionEngine, GeneMerge, align_parent_streams
 from repro.hw.gene_encoding import decode_genome, encode_genome, pack_connection, pack_node
 from repro.hw.gene_encoding import NODE_TYPE_HIDDEN, NODE_TYPE_OUTPUT
 from repro.hw.pe import PEConfig
 from repro.hw.sram import GenomeBuffer
 from repro.neat import Genome, GenomeConfig, InnovationTracker
+from repro.neat.network import FeedForwardNetwork
 from repro.neat.reproduction import ReproductionEvent
 
 
@@ -97,6 +99,42 @@ class TestGeneMerge:
         assert (5, 6) in conn_keys
         assert (6, 5) not in conn_keys
         assert merge.dropped_invalid == 1
+
+    def test_drops_inherited_genes_closing_a_cycle(self, config):
+        """Each parent is acyclic, but 3->4 from one and 4->3 from the
+        other close a 2-cycle; the first in stream order is kept."""
+        nodes = [
+            pack_node(0, NODE_TYPE_OUTPUT, 0, 1, "tanh", "sum"),
+            pack_node(1, NODE_TYPE_OUTPUT, 0, 1, "tanh", "sum"),
+            pack_node(3, NODE_TYPE_HIDDEN, 0, 1, "tanh", "sum"),
+            pack_node(4, NODE_TYPE_HIDDEN, 0, 1, "tanh", "sum"),
+        ]
+        parent1 = nodes + [
+            pack_connection(-1, 3, 1.0, True),
+            pack_connection(3, 4, 1.0, True),
+            pack_connection(4, 0, 1.0, True),
+        ]
+        parent2 = nodes + [
+            pack_connection(-1, 4, 1.0, True),
+            pack_connection(4, 3, 1.0, True),
+            pack_connection(3, 1, 1.0, True),
+        ]
+        for parent in (parent1, parent2):
+            build_inference_plan(decode_genome(parent, 0, config), config)
+        parent_conn_keys = {
+            (g.source, g.dest) for g in parent1 + parent2 if g.is_connection
+        }
+        merge = GeneMerge()
+        stream = merge.merge(parent1 + parent2[4:], parent_conn_keys)
+        conn_keys = {(g.source, g.dest) for g in stream if g.is_connection}
+        assert (3, 4) in conn_keys
+        assert (4, 3) not in conn_keys
+        assert merge.dropped_invalid == 1
+        child = decode_genome(stream, 2, config)
+        inputs = [0.5, -0.25, 1.0]
+        assert ADAM().run(build_inference_plan(child, config), inputs) == pytest.approx(
+            FeedForwardNetwork.create(child, config).activate(inputs)
+        )
 
     def test_dedups_by_key(self):
         merge = GeneMerge()
