@@ -38,18 +38,14 @@ Quickstart::
 
 __version__ = "1.2.0"
 
-from . import analysis, api, baselines, core, dse, envs, hw, neat, platforms, runs
+from ._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "analysis",
-    "api",
-    "baselines",
-    "core",
-    "dse",
-    "envs",
-    "hw",
-    "neat",
-    "platforms",
-    "runs",
-]
+# Subpackages load on first access (``repro.hw``), so ``import repro``
+# costs only this module.
+_SUBPACKAGES = (
+    "analysis", "api", "baselines", "core", "dse",
+    "envs", "hw", "neat", "platforms", "runs",
+)
+lazy_exports(__name__, {name: () for name in (*_SUBPACKAGES, "obs")})
+
+__all__ = ["__version__", *_SUBPACKAGES]

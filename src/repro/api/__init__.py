@@ -37,46 +37,28 @@ Quickstart::
     print(result.best_fitness, result.total_energy_j)
 """
 
-from .backends import (
-    AnalyticalBackend,
-    Backend,
-    EvaluationObserver,
-    GenerationObserver,
-    ResumeUnsupportedError,
-    ShouldStop,
-    SoCBackend,
-    SoftwareBackend,
-    StateObserver,
-    UnknownBackendError,
-    available_backends,
-    make_backend,
-    register_backend,
-)
-from .experiment import Experiment, run_experiment
-from .parallel import ParallelFitnessEvaluator, build_evaluator
-from .result import GenerationMetrics, RunResult
-from .spec import ExperimentSpec, SpecError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnalyticalBackend",
-    "Backend",
-    "EvaluationObserver",
-    "Experiment",
-    "ExperimentSpec",
-    "GenerationMetrics",
-    "GenerationObserver",
-    "ParallelFitnessEvaluator",
-    "ResumeUnsupportedError",
-    "RunResult",
-    "ShouldStop",
-    "SoCBackend",
-    "SoftwareBackend",
-    "SpecError",
-    "StateObserver",
-    "UnknownBackendError",
-    "available_backends",
-    "build_evaluator",
-    "make_backend",
-    "register_backend",
-    "run_experiment",
-]
+# Submodules load on first use: ``from repro.api import ExperimentSpec``
+# loads only the spec.
+__all__ = lazy_exports(__name__, {
+    "backends": (
+        "AnalyticalBackend",
+        "Backend",
+        "EvaluationObserver",
+        "GenerationObserver",
+        "ResumeUnsupportedError",
+        "ShouldStop",
+        "SoCBackend",
+        "SoftwareBackend",
+        "StateObserver",
+        "UnknownBackendError",
+        "available_backends",
+        "make_backend",
+        "register_backend",
+    ),
+    "experiment": ("Experiment", "run_experiment"),
+    "parallel": ("ParallelFitnessEvaluator", "build_evaluator"),
+    "result": ("GenerationMetrics", "RunResult"),
+    "spec": ("ExperimentSpec", "SpecError"),
+})

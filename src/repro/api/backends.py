@@ -34,31 +34,37 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union,
+)
 
 from .. import obs
-from ..core.config import GeneSysConfig
-from ..core.runner import config_for_env
-from ..core.soc import GenerationReport, GeneSysSoC
-from ..core.trace import GenerationWorkload, _mean_depth
+from ..envs.registry import make
 from ..hw.allocator import SCHEDULERS
 from ..hw.energy import cycles_to_seconds
-from ..hw.noc import NOC_KINDS, canonical_noc_kind
+from ..hw.noc import NOC_KINDS, canonical_noc_kind  # noqa: F401  (re-exported)
+from ..neat.aggregations import sum_aggregation
+from ..neat.config import NEATConfig
 from ..neat.genome import Genome
 from ..neat.population import Population
-from ..platforms import (
-    Platform,
+from ..platforms.spec import (
     PlatformSpec,
     PlatformSpecError,
-    SoCPlatform,
     UnknownPlatformError,
-    make_platform,
     parse_adam_shape,
-    platform_names,
 )
 from .parallel import build_evaluator
 from .result import GenerationMetrics, RunResult
 from .spec import ExperimentSpec, SpecError
+
+# The chip model, the platform cost models and the workload trace they
+# read are imported by the backends that use them, so a software run
+# never loads them.
+if TYPE_CHECKING:
+    from ..core.config import GeneSysConfig
+    from ..core.soc import GenerationReport
+    from ..core.trace import GenerationWorkload
+    from ..platforms import Platform, SoCPlatform
 
 #: Observer fired after each generation with its metrics.
 GenerationObserver = Callable[[GenerationMetrics], None]
@@ -138,6 +144,8 @@ def make_backend(name: str, **options) -> Backend:
 
 def available_backends() -> List[str]:
     """Every resolvable backend key, with analytical platforms expanded."""
+    from ..platforms import platform_names
+
     names: List[str] = []
     for base in sorted(_REGISTRY):
         if base == "analytical":
@@ -145,6 +153,24 @@ def available_backends() -> List[str]:
         else:
             names.append(base)
     return names
+
+
+def config_for_env(
+    env_id: str,
+    pop_size: int = 150,
+    fitness_threshold: Optional[float] = None,
+) -> NEATConfig:
+    """NEAT config sized to an environment (Section III-B's recipe)."""
+    env = make(env_id)
+    threshold = fitness_threshold
+    if threshold is None:
+        threshold = getattr(env, "solve_threshold", None)
+    return NEATConfig.for_env(
+        env.num_observations,
+        max(2, env.num_actions),
+        pop_size=pop_size,
+        fitness_threshold=threshold,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +258,8 @@ def _run_software_loop(
 
     evaluator = make_evaluator(start_generation)
     collect = collect_workloads or decorate_metrics is not None
+    if collect:
+        from ..core.trace import GenerationWorkload, _mean_depth
     threshold = config.fitness_threshold
     out = _SoftwareLoopResult(population=population)
     # A resumed run that had already met the stop criterion must not
@@ -405,6 +433,8 @@ class AnalyticalBackend:
                 f"the analytical backend got both ':{arg}' and an "
                 "explicit platform; pass one"
             )
+        from ..platforms import Platform, make_platform, platform_names
+
         platform = arg or platform
         if platform is None:
             raise UnknownBackendError(
@@ -460,8 +490,8 @@ class AnalyticalBackend:
             stopped_early=loop.stopped,
             metrics=loop.metrics,
             neat_config=population.config,
-            total_energy_j=sum(m.energy_j for m in loop.metrics),
-            total_runtime_s=sum(m.runtime_s for m in loop.metrics),
+            total_energy_j=sum_aggregation(m.energy_j for m in loop.metrics),
+            total_runtime_s=sum_aggregation(m.runtime_s for m in loop.metrics),
             population=population,
         )
 
@@ -482,6 +512,8 @@ def _resolve_soc_platform(
     platform: Optional[Union[str, Dict, PlatformSpec, SoCPlatform]],
 ) -> Optional[SoCPlatform]:
     """Coerce a platform option into a :class:`SoCPlatform` (or None)."""
+    from ..platforms import SoCPlatform, make_platform, platform_names
+
     if platform is None or isinstance(platform, SoCPlatform):
         return platform
     try:
@@ -571,6 +603,9 @@ class SoCBackend:
         self.vectorize = True if vectorize is None else bool(vectorize)
 
     def _resolve_config(self, spec: ExperimentSpec) -> GeneSysConfig:
+        from ..core.config import GeneSysConfig
+        from ..platforms import SoCPlatform
+
         neat_config = config_for_env(
             spec.env_id, spec.pop_size, spec.fitness_threshold
         )
@@ -637,6 +672,8 @@ class SoCBackend:
             )
         # on_state is a software-loop capability; the SoC model exposes
         # no Population object to snapshot, so the observer never fires.
+        from ..core.soc import GeneSysSoC
+
         config = self._resolve_config(spec)
         soc = GeneSysSoC(
             config, spec.env_id, episodes=spec.episodes,
@@ -683,7 +720,9 @@ class SoCBackend:
             stopped_early=stopped,
             metrics=metrics,
             neat_config=config.neat,
-            total_energy_j=sum(r.energy.total_energy_j for r in soc.reports),
+            total_energy_j=sum_aggregation(
+                r.energy.total_energy_j for r in soc.reports
+            ),
             total_cycles=total_cycles,
             total_runtime_s=cycles_to_seconds(total_cycles, config.frequency_hz),
             reports=soc.reports,

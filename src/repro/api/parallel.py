@@ -27,7 +27,6 @@ what is computed — fitnesses stay bit-identical.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -242,6 +241,8 @@ class ParallelFitnessEvaluator:
         if self._pool is not None and genome_config != self._pool_genome_config:
             self.close()
         if self._pool is None:
+            import multiprocessing
+
             self._pool = multiprocessing.get_context().Pool(
                 processes=self.workers,
                 initializer=_init_worker,

@@ -53,13 +53,6 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from .analysis.reporting import (
-    fmt_bytes,
-    fmt_joules,
-    fmt_seconds,
-    render_table,
-)
-
 #: Fallbacks applied when neither a flag nor a spec file sets the field.
 _SPEC_DEFAULTS = {
     "backend": "software",
@@ -164,6 +157,7 @@ def _spec_from_args(args: argparse.Namespace):
 
 
 def _cmd_envs(_args: argparse.Namespace) -> int:
+    from .analysis.reporting import render_table
     from .envs import available, make
 
     rows = []
@@ -198,6 +192,7 @@ _RESUME_CONFLICTS = (
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .analysis.reporting import fmt_joules, fmt_seconds
     from .api import Experiment
 
     if args.resume:
@@ -347,6 +342,7 @@ def _require_software_backend(spec, command: str) -> None:
 
 
 def _cmd_characterise(args: argparse.Namespace) -> int:
+    from .analysis.reporting import fmt_bytes, render_table
     from .core import TraceRecorder
 
     spec = _spec_from_args(args)
@@ -384,6 +380,12 @@ def _params_summary(spec) -> str:
 
 
 def _cmd_platforms(args: argparse.Namespace) -> int:
+    from .analysis.reporting import (
+        fmt_bytes,
+        fmt_joules,
+        fmt_seconds,
+        render_table,
+    )
     from .platforms import registered_platforms
 
     if args.json:
@@ -448,6 +450,7 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
+    from .analysis.reporting import render_table
     from .scenarios import registered_scenarios
 
     if args.json:
@@ -489,6 +492,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     """Rebuild metric tables from run directories — artifacts only, no
     re-simulation."""
+    from .analysis.reporting import render_table
     from .runs import (
         export_reports,
         fitness_table,
@@ -531,6 +535,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _dse_report(args: argparse.Namespace, sweep, result) -> None:
     """The shared tail of every dse mode: table, frontier, groups, export."""
+    from .analysis.reporting import render_table
     from .dse import parse_objectives
 
     headers, rows = result.table()
@@ -668,6 +673,7 @@ def _cmd_dse_watch(args: argparse.Namespace, sweep, cache_dir) -> int:
 
 
 def _cmd_dse_halving(args: argparse.Namespace, sweep, cache_dir) -> int:
+    from .analysis.reporting import render_table
     from .dse import SuccessiveHalvingScheduler, parse_objectives
 
     objectives = parse_objectives(args.halving)
@@ -753,6 +759,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 
 
 def _cmd_design_space(args: argparse.Namespace) -> int:
+    from .analysis.reporting import render_table
     from .hw.energy import area_breakdown, pe_sweep, roofline_power
 
     rows = []
@@ -866,6 +873,8 @@ def _job_progress(payload) -> str:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
+    from .analysis.reporting import render_table
+
     store, client = _serve_endpoint(args)
     if store is not None:
         payloads = [store.describe(job_id) for job_id in store.job_ids()]
@@ -1022,6 +1031,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from .analysis.reporting import render_table
     from .obs import (
         TELEMETRY_FILENAME,
         export_chrome_trace,
@@ -1492,6 +1502,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The errors ``main`` reports as ``error: ...`` with exit status 2, by
+#: defining module.  A command can only have raised one whose module it
+#: loaded, so ``main`` looks them up rather than importing them all (which
+#: would load the DSE engine and the serve stack on every command).
+_USER_ERRORS = (
+    ("api.spec", "SpecError"),
+    ("api.backends", "UnknownBackendError"),
+    ("envs.registry", "UnknownEnvironmentError"),
+    ("dse.pareto", "ObjectiveError"),
+    ("runs.artifacts", "RunError"),
+    ("neat.serialize", "DeserializationError"),
+    ("platforms.spec", "PlatformSpecError"),
+    ("platforms.spec", "UnknownPlatformError"),
+    ("scenarios.spec", "ScenarioSpecError"),
+    ("scenarios.spec", "UnknownScenarioError"),
+    ("serve.jobs", "JobStoreError"),
+    ("serve.client", "ServeClientError"),
+)
+
+
+def _is_user_error(exc: BaseException) -> bool:
+    for module, name in _USER_ERRORS:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return True
+    return False
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1505,30 +1543,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .obs import Tracer, install
 
         install(Tracer(trace_file))
-    from .api import SpecError, UnknownBackendError
-    from .dse import ObjectiveError
-    from .envs.registry import UnknownEnvironmentError
-    from .neat.serialize import DeserializationError
-    from .platforms import PlatformSpecError, UnknownPlatformError
-    from .runs import RunError
-    from .scenarios import ScenarioSpecError, UnknownScenarioError
-    from .serve import JobStoreError, ServeClientError
-
     try:
         return args.func(args)
-    except (
-        SpecError, UnknownBackendError, UnknownEnvironmentError,
-        ObjectiveError, RunError, DeserializationError,
-        PlatformSpecError, UnknownPlatformError,
-        ScenarioSpecError, UnknownScenarioError,
-        JobStoreError, ServeClientError,
-    ) as exc:
-        # KeyError subclasses repr-quote their message; unwrap it.
-        message = exc.args[0] if exc.args else exc
+    except Exception as exc:
+        if _is_user_error(exc):
+            # KeyError subclasses repr-quote their message; unwrap it.
+            message = exc.args[0] if exc.args else exc
+        elif isinstance(exc, FileNotFoundError):
+            message = exc
+        else:
+            raise
         print(f"error: {message}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,8 +31,7 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..envs.registry import make
-from ..neat.config import NEATConfig
+from ..api.backends import config_for_env  # noqa: F401  (re-exported)
 from ..neat.genome import Genome
 from ..neat.population import Population
 from .config import GeneSysConfig
@@ -62,24 +61,6 @@ class HardwareRunResult:
     @property
     def total_cycles(self) -> int:
         return sum(r.inference_cycles + r.evolution_cycles for r in self.reports)
-
-
-def config_for_env(
-    env_id: str,
-    pop_size: int = 150,
-    fitness_threshold: Optional[float] = None,
-) -> NEATConfig:
-    """NEAT config sized to an environment (Section III-B's recipe)."""
-    env = make(env_id)
-    threshold = fitness_threshold
-    if threshold is None:
-        threshold = getattr(env, "solve_threshold", None)
-    return NEATConfig.for_env(
-        env.num_observations,
-        max(2, env.num_actions),
-        pop_size=pop_size,
-        fitness_threshold=threshold,
-    )
 
 
 def _build_spec(

@@ -18,7 +18,8 @@ AggregationFunction = Callable[[Iterable[float]], float]
 def sum_aggregation(values: Iterable[float]) -> float:
     # Plain left-to-right addition, which is what the compiled kernel's
     # bincount does, on every Python version (from 3.12 the builtin sum()
-    # compensates float rounding).
+    # compensates float rounding).  The run totals (energy, runtime) add
+    # up the same way, so they too are identical on every version.
     total = 0.0
     for value in values:
         total += value

@@ -21,60 +21,37 @@ The observability layer for every execution path — see
   torn-tail and truncation aware) for every poll loop.
 """
 
-from .chrome import chrome_trace, export_chrome_trace, phase_summary
-from .fleet import prometheus_text, render_top, snapshot_fleet
-from .jsonl import JsonlTail
-from .metrics import (
-    DEFAULT_BUCKETS,
-    PROMETHEUS_CONTENT_TYPE,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsServer,
-)
-from .tracer import (
-    TELEMETRY_FILENAME,
-    TRACE_ENV_VAR,
-    TRACE_FILE_ENV_VAR,
-    Span,
-    Tracer,
-    current,
-    env_trace_enabled,
-    incr,
-    install,
-    read_telemetry,
-    span,
-    tracing,
-    uninstall,
-)
+from . import tracer  # noqa: F401  (every layer calls span/incr: load it now)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "JsonlTail",
-    "MetricsRegistry",
-    "MetricsServer",
-    "PROMETHEUS_CONTENT_TYPE",
-    "Span",
-    "TELEMETRY_FILENAME",
-    "TRACE_ENV_VAR",
-    "TRACE_FILE_ENV_VAR",
-    "Tracer",
-    "chrome_trace",
-    "current",
-    "env_trace_enabled",
-    "export_chrome_trace",
-    "incr",
-    "install",
-    "phase_summary",
-    "prometheus_text",
-    "read_telemetry",
-    "render_top",
-    "snapshot_fleet",
-    "span",
-    "tracing",
-    "uninstall",
-]
+# chrome, fleet, jsonl and metrics (which pulls in http.server) load on
+# first use.
+__all__ = lazy_exports(__name__, {
+    "chrome": ("chrome_trace", "export_chrome_trace", "phase_summary"),
+    "fleet": ("prometheus_text", "render_top", "snapshot_fleet"),
+    "jsonl": ("JsonlTail",),
+    "metrics": (
+        "DEFAULT_BUCKETS",
+        "PROMETHEUS_CONTENT_TYPE",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "MetricsServer",
+    ),
+    "tracer": (
+        "TELEMETRY_FILENAME",
+        "TRACE_ENV_VAR",
+        "TRACE_FILE_ENV_VAR",
+        "Span",
+        "Tracer",
+        "current",
+        "env_trace_enabled",
+        "incr",
+        "install",
+        "read_telemetry",
+        "span",
+        "tracing",
+        "uninstall",
+    ),
+})

@@ -20,91 +20,57 @@ factory helpers (``cpu_a`` … ``gpu_d``, ``genesys``) remain for direct
 model construction.
 """
 
-from typing import Dict, List
+from .._lazy import lazy_exports
 
-from .base import PhaseCost, Platform
-from .cpu import (
-    A57_PARAMS,
-    CPUParams,
-    CPUPlatform,
-    I7_PARAMS,
-    PLP_INFERENCE_SPEEDUP,
-    cpu_a,
-    cpu_b,
-    cpu_c,
-    cpu_d,
-)
-from .genesys import ONCHIP_TRANSFER_FRACTION, GenesysPlatform, genesys
-from .gpu import GPUParams, GPUPlatform, GTX1080_PARAMS, TEGRA_PARAMS, gpu_a, gpu_b, gpu_c, gpu_d
-from .memory_model import footprint_comparison, footprint_ratios
-from .registry import (
-    all_platforms,
-    build_platform,
-    make_platform,
-    platform_names,
-    platform_spec,
-    register_platform,
-    registered_platforms,
-    table3,
-    unregister_platform,
-)
-from .soc_platform import SoCPlatform
-from .spec import (
-    PLATFORM_KINDS,
-    CPUPlatformParams,
-    GenesysPlatformParams,
-    GPUPlatformParams,
-    PlatformSpec,
-    PlatformSpecError,
-    SoCPlatformParams,
-    UnknownPlatformError,
-    as_platform_spec,
-    parse_adam_shape,
-)
-
-__all__ = [
-    "A57_PARAMS",
-    "CPUParams",
-    "CPUPlatform",
-    "CPUPlatformParams",
-    "GPUParams",
-    "GPUPlatform",
-    "GPUPlatformParams",
-    "GTX1080_PARAMS",
-    "GenesysPlatform",
-    "GenesysPlatformParams",
-    "I7_PARAMS",
-    "ONCHIP_TRANSFER_FRACTION",
-    "PLATFORM_KINDS",
-    "PLP_INFERENCE_SPEEDUP",
-    "PhaseCost",
-    "Platform",
-    "PlatformSpec",
-    "PlatformSpecError",
-    "SoCPlatform",
-    "SoCPlatformParams",
-    "TEGRA_PARAMS",
-    "UnknownPlatformError",
-    "all_platforms",
-    "as_platform_spec",
-    "build_platform",
-    "cpu_a",
-    "cpu_b",
-    "cpu_c",
-    "cpu_d",
-    "footprint_comparison",
-    "footprint_ratios",
-    "genesys",
-    "gpu_a",
-    "gpu_b",
-    "gpu_c",
-    "gpu_d",
-    "make_platform",
-    "parse_adam_shape",
-    "platform_names",
-    "platform_spec",
-    "register_platform",
-    "registered_platforms",
-    "table3",
-    "unregister_platform",
-]
+# Submodules load on first use: the spec (all an ExperimentSpec needs)
+# does not pull in the cost models or the chip model behind them.
+__all__ = lazy_exports(__name__, {
+    "base": ("PhaseCost", "Platform"),
+    "cpu": (
+        "A57_PARAMS",
+        "CPUParams",
+        "CPUPlatform",
+        "I7_PARAMS",
+        "PLP_INFERENCE_SPEEDUP",
+        "cpu_a",
+        "cpu_b",
+        "cpu_c",
+        "cpu_d",
+    ),
+    "genesys": ("ONCHIP_TRANSFER_FRACTION", "GenesysPlatform", "genesys"),
+    "gpu": (
+        "GPUParams",
+        "GPUPlatform",
+        "GTX1080_PARAMS",
+        "TEGRA_PARAMS",
+        "gpu_a",
+        "gpu_b",
+        "gpu_c",
+        "gpu_d",
+    ),
+    "memory_model": ("footprint_comparison", "footprint_ratios"),
+    "registry": (
+        "all_platforms",
+        "build_platform",
+        "make_platform",
+        "platform_names",
+        "platform_spec",
+        "register_platform",
+        "registered_platforms",
+        "table3",
+        "unregister_platform",
+    ),
+    "soc_platform": ("SoCPlatform",),
+    "spec": (
+        "PLATFORM_KINDS",
+        "CPUPlatformParams",
+        "GenesysPlatformParams",
+        "GPUPlatformParams",
+        "PlatformSpec",
+        "PlatformSpecError",
+        "SoCPlatformParams",
+        "UnknownPlatformError",
+        "as_platform_spec",
+        "parse_adam_shape",
+    ),
+})

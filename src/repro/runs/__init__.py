@@ -34,64 +34,40 @@ The DSE engine writes one run directory per sweep point with
 ``repro dse --runs-dir DIR``.
 """
 
-from .artifacts import (
-    CHAMPION_FILENAME,
-    CHECKPOINT_DIRNAME,
-    METRICS_FILENAME,
-    RESULT_FILENAME,
-    SPEC_FILENAME,
-    RunDir,
-    RunError,
-)
-from .locking import (
-    LOCK_FILENAME,
-    ClaimConflictError,
-    ClaimFile,
-    RunDirLock,
-    RunLockedError,
-    read_claim,
-    read_lock,
-)
-from .report import (
-    RunReport,
-    export_reports,
-    fitness_table,
-    hardware_table,
-    load_run,
-    scenario_table,
-    summary_table,
-)
-from .runner import (
-    DEFAULT_CHECKPOINT_EVERY,
-    RunWriter,
-    resume_run,
-    run_in_dir,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHAMPION_FILENAME",
-    "CHECKPOINT_DIRNAME",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "LOCK_FILENAME",
-    "METRICS_FILENAME",
-    "RESULT_FILENAME",
-    "SPEC_FILENAME",
-    "ClaimConflictError",
-    "ClaimFile",
-    "RunDir",
-    "RunDirLock",
-    "RunError",
-    "RunLockedError",
-    "RunReport",
-    "RunWriter",
-    "read_claim",
-    "read_lock",
-    "export_reports",
-    "fitness_table",
-    "hardware_table",
-    "load_run",
-    "resume_run",
-    "run_in_dir",
-    "scenario_table",
-    "summary_table",
-]
+__all__ = lazy_exports(__name__, {
+    "artifacts": (
+        "CHAMPION_FILENAME",
+        "CHECKPOINT_DIRNAME",
+        "METRICS_FILENAME",
+        "RESULT_FILENAME",
+        "SPEC_FILENAME",
+        "RunDir",
+        "RunError",
+    ),
+    "locking": (
+        "LOCK_FILENAME",
+        "ClaimConflictError",
+        "ClaimFile",
+        "RunDirLock",
+        "RunLockedError",
+        "read_claim",
+        "read_lock",
+    ),
+    "report": (
+        "RunReport",
+        "export_reports",
+        "fitness_table",
+        "hardware_table",
+        "load_run",
+        "scenario_table",
+        "summary_table",
+    ),
+    "runner": (
+        "DEFAULT_CHECKPOINT_EVERY",
+        "RunWriter",
+        "resume_run",
+        "run_in_dir",
+    ),
+})

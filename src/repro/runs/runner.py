@@ -39,6 +39,7 @@ from ..api.backends import (
 from ..api.experiment import Experiment
 from ..api.result import GenerationMetrics, RunResult
 from ..api.spec import ExperimentSpec
+from ..neat.aggregations import sum_aggregation
 from ..neat.population import Population
 from .. import obs
 from .artifacts import RunDir, RunError
@@ -322,11 +323,11 @@ def _run_in_locked_dir(
         prefix = [GenerationMetrics(**row) for row in prefix_rows]
         result.metrics = prefix + result.metrics
         if result.total_energy_j is not None:
-            result.total_energy_j = sum(
+            result.total_energy_j = sum_aggregation(
                 m.energy_j or 0.0 for m in result.metrics
             )
         if result.total_runtime_s is not None:
-            result.total_runtime_s = sum(
+            result.total_runtime_s = sum_aggregation(
                 m.runtime_s or 0.0 for m in result.metrics
             )
     # A cooperatively stopped run that nevertheless reached its budget

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
@@ -56,6 +57,8 @@ def _require_non_negative(name: str, value: Any) -> float:
 def _require_number(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioSpecError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioSpecError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

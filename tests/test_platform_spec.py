@@ -59,10 +59,25 @@ class TestSpecValidation:
         {"adam_shape": "32"},
         {"adam_shape": "0x8"},
         {"frequency_hz": -1.0},
+        {"frequency_hz": float("nan")},
+        {"frequency_hz": float("inf")},
+        {"frequency_hz": float("-inf")},
     ])
     def test_invalid_soc_params(self, params):
         with pytest.raises((PlatformSpecError, ValueError)):
             PlatformSpec("soc", params=params)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name, field", [
+        ("CPU_a", "power_w"),
+        ("GPU_a", "bandwidth_bytes_per_s"),
+        ("GENESYS", "frequency_hz"),
+        ("soc", "frequency_hz"),
+    ])
+    def test_non_finite_params_rejected(self, name, field, value):
+        params = platform_spec(name).params
+        with pytest.raises(PlatformSpecError, match="must be finite"):
+            dataclasses.replace(params, **{field: value})
 
     def test_noc_spelling_canonicalised(self):
         spec = PlatformSpec("soc", params={"noc": "Point-To-Point"})

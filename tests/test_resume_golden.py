@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec
+from repro.neat.aggregations import sum_aggregation
 from repro.runs import RunDir, resume_run, run_in_dir
 
 PATHS = {
@@ -172,8 +173,12 @@ def test_analytical_resume_totals_cover_full_run(tmp_path):
     assert [row["generation"] for row in rows] == list(
         range(spec.max_generations)
     )
-    assert result.total_energy_j == sum(row["energy_j"] for row in rows)
-    assert result.total_runtime_s == sum(row["runtime_s"] for row in rows)
+    assert result.total_energy_j == sum_aggregation(
+        row["energy_j"] for row in rows
+    )
+    assert result.total_runtime_s == sum_aggregation(
+        row["runtime_s"] for row in rows
+    )
     persisted = RunDir(resumed).load_result()
     reference_summary = RunDir(reference).load_result()
     assert persisted["total_energy_j"] == reference_summary["total_energy_j"]

@@ -53,6 +53,16 @@ class TestSpecValidation:
         with pytest.raises(ScenarioSpecError, match="must be a number"):
             ScenarioSpec(env_id="CartPole-v0", params={"length": True})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("build", [
+        lambda v: ScenarioSpec(env_id="CartPole-v0", params={"length": v}),
+        lambda v: PerturbationSpec("observation_noise", {"std": v}),
+        lambda v: PerturbationSpec("parameter_jitter", {"scale": v}),
+    ], ids=["param", "noise_std", "jitter_scale"])
+    def test_non_finite_numbers_rejected(self, build, value):
+        with pytest.raises(ScenarioSpecError, match="must be finite"):
+            build(value)
+
     def test_unknown_perturbation_kind(self):
         with pytest.raises(ScenarioSpecError, match="unknown perturbation"):
             ScenarioSpec(
