@@ -10,8 +10,8 @@ import pytest
 from conftest import bench_spec
 from repro.analysis.characterization import characterise_env
 from repro.analysis.reporting import render_series, render_table
-from repro.api import build_evaluator
 from repro.core.runner import config_for_env
+from repro.envs.evaluate import FitnessEvaluator
 from repro.neat.population import Population
 
 #: Fig. 4(a) plots these four workloads.
@@ -50,7 +50,7 @@ def test_fig4a_normalised_fitness(benchmark, emit):
     spec = bench_spec("CartPole-v0")
     config = config_for_env(spec.env_id, pop_size=spec.pop_size)
     population = Population(config, seed=spec.seed)
-    evaluator = build_evaluator(
+    evaluator = FitnessEvaluator(
         spec.env_id, max_steps=spec.max_steps, seed=spec.seed,
         workers=spec.workers,
     )

@@ -29,10 +29,8 @@ import os
 import time
 
 from repro import obs
-from repro.api.parallel import ParallelFitnessEvaluator
 from repro.core.runner import config_for_env
 from repro.envs.evaluate import FitnessEvaluator
-from repro.neat.compiled import BatchedEvaluator
 from repro.neat.population import Population
 
 ENV_ID = "CartPole-v0"
@@ -74,10 +72,10 @@ def _evaluators():
     return [
         ("serial", lambda: FitnessEvaluator(
             ENV_ID, max_steps=MAX_STEPS, seed=0)),
-        ("workers2", lambda: ParallelFitnessEvaluator(
+        ("workers2", lambda: FitnessEvaluator(
             ENV_ID, max_steps=MAX_STEPS, seed=0, workers=2)),
-        ("vectorized", lambda: BatchedEvaluator(
-            ENV_ID, max_steps=MAX_STEPS, seed=0)),
+        ("vectorized", lambda: FitnessEvaluator(
+            ENV_ID, max_steps=MAX_STEPS, seed=0, vectorizer="numpy")),
     ]
 
 
@@ -115,8 +113,7 @@ def _measure(mode, factory, genomes, config, tmp_path):
         assert obs.current() is None  # "disabled" must really be off
         return _time_generation(evaluator, genomes, config)
     finally:
-        if hasattr(evaluator, "close"):
-            evaluator.close()
+        evaluator.close()
 
 
 def test_disabled_tracer_overhead_within_gate(emit, tmp_path):

@@ -1,4 +1,4 @@
-"""Unified experiment API: one spec, pluggable backends, parallel evaluation.
+"""Unified experiment API: one spec, pluggable backends, one result.
 
 The paper's central claim is that *the same* evolutionary loop runs across
 many substrates — a software CPU baseline, the EvE/ADAM SoC, the Table III
@@ -16,13 +16,13 @@ changing (Section III-B).  This package is that claim as an API:
 * :class:`RunResult` / :class:`GenerationMetrics` — the unified result
   every backend returns, with optional hardware reports and energy/cycle
   totals.
-* ``workers=N`` on the spec switches fitness evaluation to a
-  ``multiprocessing`` pool whose per-genome derived seeds make results
-  bit-identical to the serial path.
-* ``vectorizer="numpy"`` compiles the population into per-layer edge
-  lists (:mod:`repro.neat.compiled`) and steps every in-flight
-  episode per numpy call — composable with ``workers`` (each worker
-  batches its shard) and reproducing the scalar fitness trajectories.
+* ``workers`` and ``vectorizer`` on the spec configure the one
+  :class:`repro.envs.evaluate.FitnessEvaluator`: ``vectorizer="numpy"``
+  compiles the population into per-layer edge lists
+  (:mod:`repro.neat.compiled`) and steps every in-flight episode per
+  numpy call, ``workers=N`` shards the population over a
+  ``multiprocessing`` pool.  Per-genome derived seeds make every
+  combination reproduce the serial scalar fitness trajectories.
 * ``run_dir=...`` on :func:`run_experiment` records the run durably and
   makes it resumable (:mod:`repro.runs`): per-generation metrics,
   periodic full-state checkpoints, champion — with resumed runs
@@ -58,7 +58,6 @@ __all__ = lazy_exports(__name__, {
         "register_backend",
     ),
     "experiment": ("Experiment", "run_experiment"),
-    "parallel": ("ParallelFitnessEvaluator", "build_evaluator"),
     "result": ("GenerationMetrics", "RunResult"),
     "spec": ("ExperimentSpec", "SpecError"),
 })

@@ -39,6 +39,7 @@ from typing import (
 )
 
 from .. import obs
+from ..envs.evaluate import FitnessEvaluator
 from ..envs.registry import make
 from ..hw.allocator import SCHEDULERS
 from ..hw.energy import cycles_to_seconds
@@ -53,7 +54,6 @@ from ..platforms.spec import (
     UnknownPlatformError,
     parse_adam_shape,
 )
-from .parallel import build_evaluator
 from .result import GenerationMetrics, RunResult
 from .spec import ExperimentSpec, SpecError
 
@@ -181,7 +181,6 @@ def config_for_env(
 class _SoftwareLoopResult:
     population: Population
     metrics: List[GenerationMetrics] = field(default_factory=list)
-    workloads: List[GenerationWorkload] = field(default_factory=list)
     stopped: bool = False
 
 
@@ -193,7 +192,6 @@ def _run_software_loop(
     decorate_metrics: Optional[
         Callable[[GenerationMetrics, GenerationWorkload], None]
     ] = None,
-    collect_workloads: bool = False,
     on_state: Optional[StateObserver] = None,
     resume_state: Optional[Dict] = None,
     should_stop: Optional[ShouldStop] = None,
@@ -242,7 +240,7 @@ def _run_software_loop(
             controller.restore(resume_metrics)
 
     def make_evaluator(generation: int):
-        return build_evaluator(
+        return FitnessEvaluator(
             spec.env_id,
             episodes=spec.episodes,
             max_steps=spec.max_steps,
@@ -257,9 +255,8 @@ def _run_software_loop(
         )
 
     evaluator = make_evaluator(start_generation)
-    collect = collect_workloads or decorate_metrics is not None
-    if collect:
-        from ..core.trace import GenerationWorkload, _mean_depth
+    if decorate_metrics is not None:
+        from ..core.trace import GenerationWorkload
     threshold = config.fitness_threshold
     out = _SoftwareLoopResult(population=population)
     # A resumed run that had already met the stop criterion must not
@@ -275,8 +272,6 @@ def _run_software_loop(
     )
     try:
         for gen_index in generation_range:
-            snapshot = dict(population.population) if collect else None
-
             def fitness_function(genomes, cfg, _gen=gen_index):
                 evaluator(genomes, cfg)
                 if on_evaluation is not None:
@@ -305,13 +300,7 @@ def _run_software_loop(
                 switched_stage = controller.step(
                     metrics.generation, metrics.best_fitness, metrics
                 )
-            if collect:
-                # The batched evaluator levelises every genome anyway, so
-                # reuse its depths (exactly the feed_forward_layers counts
-                # _mean_depth would re-derive) when they are available.
-                depth = getattr(evaluator, "last_mean_depth", None)
-                if depth is None:
-                    depth = _mean_depth(snapshot, config.genome)
+            if decorate_metrics is not None:
                 workload = GenerationWorkload(
                     generation=stats.generation,
                     population=stats.population_size,
@@ -320,12 +309,10 @@ def _run_software_loop(
                     ops=stats.ops,
                     env_steps=env_steps,
                     inference_macs=macs,
-                    mean_network_depth=depth,
+                    mean_network_depth=evaluator.last_mean_depth,
                     fittest_parent_reuse=stats.fittest_parent_reuse,
                 )
-                out.workloads.append(workload)
-                if decorate_metrics is not None:
-                    decorate_metrics(metrics, workload)
+                decorate_metrics(metrics, workload)
             out.metrics.append(metrics)
             if on_generation is not None:
                 on_generation(metrics)
@@ -347,14 +334,10 @@ def _run_software_loop(
                     generation=population.generation,
                 ):
                     obs.incr("scenario.stage_advance")
-                    close = getattr(evaluator, "close", None)
-                    if close is not None:
-                        close()
+                    evaluator.close()
                     evaluator = make_evaluator(population.generation)
     finally:
-        close = getattr(evaluator, "close", None)
-        if close is not None:
-            close()
+        evaluator.close()
     if population.best_genome is None:
         raise RuntimeError("no generations were evaluated")
     return out

@@ -33,7 +33,7 @@ class SpecError(ValueError):
 
 #: The inference strategies the software evolution loop understands —
 #: the single source of truth for spec validation and evaluator
-#: construction (:func:`repro.api.build_evaluator`).
+#: construction (:class:`repro.envs.evaluate.FitnessEvaluator`).
 VECTORIZERS = ("scalar", "numpy")
 
 
@@ -84,21 +84,26 @@ class ExperimentSpec:
             raise SpecError("env_id must be a non-empty string")
         if not self.backend or not isinstance(self.backend, str):
             raise SpecError("backend must be a non-empty string")
-        if self.max_generations < 1:
-            raise SpecError("max_generations must be >= 1")
-        if self.pop_size < 2:
-            raise SpecError("pop_size must be >= 2")
-        if self.episodes < 1:
-            raise SpecError("episodes must be >= 1")
-        # An int, not a float: episode loops run ``range(max_steps)``.
-        if self.max_steps is not None and not (
-            isinstance(self.max_steps, numbers.Integral)
-            and not isinstance(self.max_steps, bool)
-            and self.max_steps >= 1
+        # Ints, not floats: these size loops (``range(max_steps)``), pick
+        # the pool size and seed the RNG streams.
+        for name, low in (
+            ("max_generations", 1),
+            ("pop_size", 2),
+            ("episodes", 1),
+            ("max_steps", 1),
+            ("workers", 1),
+            ("seed", None),
         ):
-            raise SpecError(
-                f"max_steps must be an integer >= 1 when set, got {self.max_steps!r}"
-            )
+            value = getattr(self, name)
+            if name == "max_steps" and value is None:
+                continue
+            if not (
+                isinstance(value, numbers.Integral)
+                and not isinstance(value, bool)
+                and (low is None or value >= low)
+            ):
+                bound = "" if low is None else f" >= {low}"
+                raise SpecError(f"{name} must be an integer{bound}, got {value!r}")
         if self.fitness_threshold is not None and not (
             isinstance(self.fitness_threshold, numbers.Real)
             and not isinstance(self.fitness_threshold, bool)
@@ -108,8 +113,6 @@ class ExperimentSpec:
                 "fitness_threshold must be a finite number when set, "
                 f"got {self.fitness_threshold!r}"
             )
-        if self.workers < 1:
-            raise SpecError("workers must be >= 1")
         if self.vectorizer not in VECTORIZERS:
             raise SpecError(
                 f"vectorizer must be 'scalar' or 'numpy', got {self.vectorizer!r}"

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..envs.evaluate import FitnessEvaluator
 from ..envs.registry import make
 from ..neat.config import NEATConfig
 from ..neat.genome import MutationCounts
-from ..neat.network import FeedForwardNetwork, feed_forward_layers
 from ..neat.population import Population
 from ..neat.statistics import GENE_BYTES
 
@@ -157,21 +157,6 @@ class WorkloadTrace:
         )
 
 
-def _mean_depth(population, genome_config) -> float:
-    """Average levelised depth across genomes (waves per forward pass)."""
-    depths = []
-    for genome in population.values():
-        enabled = [k for k, c in genome.connections.items() if c.enabled]
-        try:
-            layers = feed_forward_layers(
-                genome_config.input_keys, genome_config.output_keys, enabled
-            )
-            depths.append(len(layers))
-        except ValueError:
-            depths.append(1)
-    return sum(depths) / len(depths) if depths else 0.0
-
-
 class TraceRecorder:
     """Runs software NEAT on an environment, recording the workload trace.
 
@@ -219,10 +204,8 @@ class TraceRecorder:
         )
 
     def record(self, generations: int) -> WorkloadTrace:
-        from ..api.parallel import build_evaluator
-
         population = Population(self.config, seed=self.seed)
-        evaluator = build_evaluator(
+        evaluator = FitnessEvaluator(
             self.env_id,
             episodes=self.episodes,
             max_steps=self.max_steps,
@@ -236,18 +219,12 @@ class TraceRecorder:
         prev_macs = 0
         try:
             for _ in range(generations):
-                pop_snapshot = dict(population.population)
                 population.run_generation(evaluator)
                 stats = population.statistics.generations[-1]
                 env_steps = evaluator.totals.steps - prev_steps
                 macs = evaluator.totals.macs - prev_macs
                 prev_steps = evaluator.totals.steps
                 prev_macs = evaluator.totals.macs
-                # Reuse the batched evaluator's levelisation by-product
-                # when it ran; identical to re-deriving per genome.
-                depth = getattr(evaluator, "last_mean_depth", None)
-                if depth is None:
-                    depth = _mean_depth(pop_snapshot, self.config.genome)
                 trace.workloads.append(
                     GenerationWorkload(
                         generation=stats.generation,
@@ -257,7 +234,7 @@ class TraceRecorder:
                         ops=stats.ops,
                         env_steps=env_steps,
                         inference_macs=macs,
-                        mean_network_depth=depth,
+                        mean_network_depth=evaluator.last_mean_depth,
                         fittest_parent_reuse=stats.fittest_parent_reuse,
                     )
                 )
@@ -288,7 +265,5 @@ class TraceRecorder:
                 if threshold is not None and population.fitness_summary() >= threshold:
                     break
         finally:
-            close = getattr(evaluator, "close", None)
-            if close is not None:
-                close()
+            evaluator.close()
         return trace

@@ -27,6 +27,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
+import numbers
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -100,7 +102,13 @@ def _is_scenario_axis(name: str) -> bool:
 
 
 def _is_json_scalar(value: Any) -> bool:
-    return value is None or isinstance(value, (bool, int, float, str))
+    if isinstance(value, float):
+        return math.isfinite(value)  # NaN/inf have no standard JSON form
+    return value is None or isinstance(value, (bool, int, str))
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -194,17 +202,23 @@ class SweepSpec:
             for value in values:
                 if not _is_json_scalar(value):
                     raise SweepSpecError(
-                        f"axis {name!r} value {value!r} is not a JSON scalar"
+                        f"axis {name!r} value {value!r} is not a finite "
+                        "JSON scalar"
                     )
             if len(set(values)) != len(values):
                 raise SweepSpecError(f"axis {name!r} has duplicate values")
         if self.strategy == "random":
-            if self.samples is None or self.samples < 1:
+            if not (_is_int(self.samples) and self.samples >= 1):
                 raise SweepSpecError(
-                    "random sampling needs samples >= 1"
+                    f"random sampling needs an integer samples >= 1, "
+                    f"got {self.samples!r}"
                 )
         elif self.samples is not None:
             raise SweepSpecError("samples only applies to strategy='random'")
+        if not _is_int(self.sample_seed):
+            raise SweepSpecError(
+                f"sample_seed must be an integer, got {self.sample_seed!r}"
+            )
 
     # -- expansion --------------------------------------------------------
 

@@ -80,10 +80,13 @@ class FeedForwardNetwork:
         input_keys: Sequence[int],
         output_keys: Sequence[int],
         node_evals: List[Tuple[int, str, str, float, float, List[Tuple[int, float]]]],
+        depth: int = 0,
     ) -> None:
         self.input_keys = list(input_keys)
         self.output_keys = list(output_keys)
         self.node_evals = node_evals
+        #: Levelised layer count: waves per forward pass.
+        self.depth = depth
         self.values: Dict[int, float] = {
             key: 0.0 for key in list(input_keys) + list(output_keys)
         }
@@ -112,7 +115,7 @@ class FeedForwardNetwork:
                         sorted(incoming.get(node_key, [])),
                     )
                 )
-        return cls(config.input_keys, config.output_keys, node_evals)
+        return cls(config.input_keys, config.output_keys, node_evals, len(layers))
 
     def activate(self, inputs: Sequence[float]) -> List[float]:
         """One forward pass.  ``inputs`` must match the input key count."""

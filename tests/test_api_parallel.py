@@ -1,19 +1,16 @@
-"""Serial-vs-parallel fitness evaluation determinism.
+"""Pooled fitness evaluation: construction, whole-run parity, lifecycle.
 
-The acceptance bar for the parallel path: ``workers=N`` must reproduce
-``workers=1`` bit-for-bit, because episode seeds are derived per genome
-in the parent with the same formula the serial evaluator uses.
+``workers=N`` must reproduce ``workers=1`` bit-for-bit, because episode
+seeds are derived per genome in the parent with the same formula the
+serial path uses.  The per-call parity of every (workers, vectorizer)
+mode is :func:`tests.test_evaluate.test_every_mode_matches_serial_scalar`.
 """
 
 import pytest
 
-from repro.api import (
-    Experiment,
-    ExperimentSpec,
-    ParallelFitnessEvaluator,
-    build_evaluator,
-)
+from repro.api import Experiment, ExperimentSpec
 from repro.core.runner import config_for_env
+from repro.envs import evaluate
 from repro.envs.evaluate import FitnessEvaluator
 from repro.neat.population import Population
 
@@ -28,54 +25,47 @@ def _fitness_map(evaluator, seed=3, pop_size=12):
 
 class TestBuildEvaluator:
     def test_serial_for_one_worker(self):
-        assert isinstance(build_evaluator("CartPole-v0", workers=1),
-                          FitnessEvaluator)
+        """workers=1 evaluates in-process and builds no pool."""
+        evaluator = FitnessEvaluator("CartPole-v0", max_steps=30, workers=1)
+        _fitness_map(evaluator)
+        assert evaluator._pool is None
 
     def test_parallel_for_many_workers(self):
-        evaluator = build_evaluator("CartPole-v0", workers=2)
-        assert isinstance(evaluator, ParallelFitnessEvaluator)
-        evaluator.close()
+        with FitnessEvaluator(
+            "CartPole-v0", max_steps=30, workers=2
+        ) as evaluator:
+            _fitness_map(evaluator)
+            assert evaluator._pool is not None
 
-    def test_parallel_rejects_single_worker(self):
-        with pytest.raises(ValueError):
-            ParallelFitnessEvaluator("CartPole-v0", workers=1)
+    def test_batched_for_numpy_vectorizer(self, monkeypatch):
+        """vectorizer='numpy' runs the compiled kernel in-process."""
+        compiled = []
+        compile_network = evaluate.compile_network
 
-    def test_batched_for_numpy_vectorizer(self):
-        from repro.neat.compiled import BatchedEvaluator
+        def counting(genome, config):
+            compiled.append(genome.key)
+            return compile_network(genome, config)
 
-        assert isinstance(
-            build_evaluator("CartPole-v0", workers=1, vectorizer="numpy"),
-            BatchedEvaluator,
+        monkeypatch.setattr(evaluate, "compile_network", counting)
+        evaluator = FitnessEvaluator(
+            "CartPole-v0", max_steps=30, workers=1, vectorizer="numpy"
         )
+        fits, _ = _fitness_map(evaluator)
+        assert sorted(compiled) == sorted(fits)
+        assert evaluator._pool is None
 
     def test_parallel_carries_vectorizer(self):
-        evaluator = build_evaluator(
-            "CartPole-v0", workers=2, vectorizer="numpy"
-        )
-        assert isinstance(evaluator, ParallelFitnessEvaluator)
-        assert evaluator.vectorizer == "numpy"
+        evaluator = FitnessEvaluator("CartPole-v0", workers=2, vectorizer="numpy")
+        assert (evaluator.workers, evaluator.vectorizer) == (2, "numpy")
         evaluator.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unknown_vectorizer_rejected(self, workers):
         with pytest.raises(ValueError, match="vectorizer"):
-            build_evaluator("CartPole-v0", workers=workers, vectorizer="cuda")
+            FitnessEvaluator("CartPole-v0", workers=workers, vectorizer="cuda")
 
 
 class TestDeterminism:
-    def test_parallel_matches_serial_fitness_map(self):
-        serial_fits, serial_totals = _fitness_map(
-            FitnessEvaluator("CartPole-v0", episodes=2, max_steps=60, seed=11)
-        )
-        with ParallelFitnessEvaluator(
-            "CartPole-v0", episodes=2, max_steps=60, seed=11, workers=2
-        ) as parallel:
-            parallel_fits, parallel_totals = _fitness_map(parallel)
-        assert parallel_fits == serial_fits
-        assert parallel_totals.episodes == serial_totals.episodes
-        assert parallel_totals.steps == serial_totals.steps
-        assert parallel_totals.macs == serial_totals.macs
-
     def test_parallel_matches_serial_across_generations(self):
         """Whole-run parity on CartPole: per-generation best/mean series
         and the champion are identical for workers=1 and workers=2."""
@@ -94,24 +84,8 @@ class TestDeterminism:
         assert serial.champion.fitness == parallel.champion.fitness
         assert serial.generations == parallel.generations
 
-    def test_pooled_vectorized_matches_serial_fitness_map(self):
-        """workers=2 + numpy: each worker batch-evaluates its slice;
-        fitnesses and totals must still be bit-identical to serial."""
-        serial_fits, serial_totals = _fitness_map(
-            FitnessEvaluator("CartPole-v0", episodes=2, max_steps=60, seed=11)
-        )
-        with ParallelFitnessEvaluator(
-            "CartPole-v0", episodes=2, max_steps=60, seed=11, workers=2,
-            vectorizer="numpy",
-        ) as pooled:
-            pooled_fits, pooled_totals = _fitness_map(pooled)
-        assert pooled_fits == serial_fits
-        assert pooled_totals.episodes == serial_totals.episodes
-        assert pooled_totals.steps == serial_totals.steps
-        assert pooled_totals.macs == serial_totals.macs
-
     def test_fitness_transform_applies_in_parent(self):
-        with ParallelFitnessEvaluator(
+        with FitnessEvaluator(
             "CartPole-v0", max_steps=30, seed=0, workers=2,
             fitness_transform=lambda f: -f,
         ) as evaluator:
@@ -121,13 +95,13 @@ class TestDeterminism:
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        evaluator = ParallelFitnessEvaluator("CartPole-v0", workers=2)
+        evaluator = FitnessEvaluator("CartPole-v0", workers=2)
         _fitness_map(evaluator)
         evaluator.close()
         evaluator.close()
 
     def test_pool_reused_across_generations(self):
-        with ParallelFitnessEvaluator(
+        with FitnessEvaluator(
             "CartPole-v0", max_steps=30, seed=0, workers=2
         ) as evaluator:
             _fitness_map(evaluator)
@@ -138,7 +112,7 @@ class TestLifecycle:
     def test_del_then_close_is_clean(self):
         """__del__ must reap workers (terminate + join), and close() must
         stay a safe no-op afterwards — no zombies, no double-release."""
-        evaluator = ParallelFitnessEvaluator("CartPole-v0", workers=2)
+        evaluator = FitnessEvaluator("CartPole-v0", workers=2)
         _fitness_map(evaluator)
         pool = evaluator._pool
         assert pool is not None
@@ -151,63 +125,7 @@ class TestLifecycle:
         evaluator.close()
 
     def test_close_then_del_is_clean(self):
-        evaluator = ParallelFitnessEvaluator("CartPole-v0", workers=2)
+        evaluator = FitnessEvaluator("CartPole-v0", workers=2)
         _fitness_map(evaluator)
         evaluator.close()
         evaluator.__del__()  # nothing left to tear down
-
-
-class TestSharedMemoryTransport:
-    @pytest.mark.parametrize("vectorizer", ["scalar", "numpy"])
-    def test_shm_matches_serial_fitness_map(self, vectorizer):
-        serial_fits, serial_totals = _fitness_map(
-            FitnessEvaluator("CartPole-v0", episodes=2, max_steps=60, seed=11)
-        )
-        with ParallelFitnessEvaluator(
-            "CartPole-v0", episodes=2, max_steps=60, seed=11, workers=2,
-            vectorizer=vectorizer, task_transport="shm",
-        ) as shm:
-            shm_fits, shm_totals = _fitness_map(shm)
-        assert shm_fits == serial_fits
-        assert shm_totals.steps == serial_totals.steps
-        assert shm_totals.macs == serial_totals.macs
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="task transport"):
-            ParallelFitnessEvaluator(
-                "CartPole-v0", workers=2, task_transport="carrier-pigeon"
-            )
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TRANSPORT", "shm")
-        evaluator = build_evaluator("CartPole-v0", workers=2)
-        assert evaluator.task_transport == "shm"
-        evaluator.close()
-        monkeypatch.delenv("REPRO_TASK_TRANSPORT")
-        evaluator = build_evaluator("CartPole-v0", workers=2)
-        assert evaluator.task_transport == "pickle"
-        evaluator.close()
-
-    def test_segment_unlinked_after_map(self, monkeypatch):
-        """The per-generation segment must not outlive the map call."""
-        from multiprocessing import shared_memory
-
-        created = []
-        original = shared_memory.SharedMemory
-
-        class Tracking(original):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if kwargs.get("create"):
-                    created.append(self.name)
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", Tracking)
-        with ParallelFitnessEvaluator(
-            "CartPole-v0", max_steps=30, seed=0, workers=2,
-            task_transport="shm",
-        ) as evaluator:
-            _fitness_map(evaluator)
-        assert created, "shm transport never created a segment"
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                original(name=name)

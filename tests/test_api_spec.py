@@ -47,10 +47,34 @@ class TestConstruction:
         {"env_id": "CartPole-v0", "fitness_threshold": float("-inf")},
         {"env_id": "CartPole-v0", "fitness_threshold": "200"},
         {"env_id": "CartPole-v0", "fitness_threshold": True},
+        {"env_id": "CartPole-v0", "seed": float("nan")},
+        {"env_id": "CartPole-v0", "seed": True},
+        {"env_id": "CartPole-v0", "seed": 1.0},
+        {"env_id": "CartPole-v0", "seed": None},
+        {"env_id": "CartPole-v0", "pop_size": 10.5},
+        {"env_id": "CartPole-v0", "pop_size": float("inf")},
+        {"env_id": "CartPole-v0", "pop_size": True},
+        {"env_id": "CartPole-v0", "max_generations": 2.5},
+        {"env_id": "CartPole-v0", "max_generations": float("nan")},
+        {"env_id": "CartPole-v0", "max_generations": True},
+        {"env_id": "CartPole-v0", "episodes": 1.5},
+        {"env_id": "CartPole-v0", "episodes": float("inf")},
+        {"env_id": "CartPole-v0", "episodes": True},
+        {"env_id": "CartPole-v0", "workers": 1.5},
+        {"env_id": "CartPole-v0", "workers": float("inf")},
+        {"env_id": "CartPole-v0", "workers": True},
+        {"env_id": "CartPole-v0", "workers": "2"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(SpecError):
             ExperimentSpec(**kwargs)
+
+    def test_integer_fields_accept_ints(self):
+        spec = ExperimentSpec(
+            "CartPole-v0", max_generations=1, pop_size=2, episodes=1,
+            workers=1, seed=-3,
+        )
+        assert (spec.max_generations, spec.pop_size, spec.seed) == (1, 2, -3)
 
     def test_int_max_steps_and_finite_threshold_accepted(self):
         spec = ExperimentSpec("CartPole-v0", max_steps=1, fitness_threshold=-1e9)

@@ -1,8 +1,16 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC = Path(repro.__file__).resolve().parents[1]
 
 
 def test_envs_command(capsys):
@@ -21,6 +29,29 @@ def test_run_software(capsys):
     out = capsys.readouterr().out
     assert "[software] CartPole-v0" in out
     assert "best fitness" in out
+
+
+SMALL_RUN = ["--generations", "2", "--population", "20", "--max-steps", "50"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--generations", "2", "--population", "20"],
+    ["--backend", "soc", *SMALL_RUN],
+    [*SMALL_RUN, "--workers", "2"],
+    [*SMALL_RUN, "--vectorizer", "numpy"],
+    [*SMALL_RUN, "--workers", "2", "--vectorizer", "numpy"],
+], ids=["software", "soc", "workers2", "numpy", "workers2-numpy"])
+def test_cli_smoke_run(argv):
+    """``python -m repro run`` exits 0 on each backend and evaluator mode."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "CartPole-v0", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_hardware(capsys):

@@ -1,5 +1,6 @@
 """Unit tests for repro.dse.SweepSpec: axes, expansion, JSON round-trip."""
 
+import json
 import warnings
 
 import pytest
@@ -57,6 +58,32 @@ class TestValidation:
     def test_non_scalar_axis_value(self):
         with pytest.raises(SweepSpecError, match="JSON scalar"):
             sweep(axes={"seed": [[1, 2]]})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_axis_value(self, value):
+        with pytest.raises(SweepSpecError, match="finite JSON scalar"):
+            sweep(axes={"seed": [value, 1]})
+
+    @pytest.mark.parametrize(
+        "samples", [2.5, 2.0, float("inf"), float("nan"), True, "3", 0]
+    )
+    def test_samples_must_be_positive_int(self, samples):
+        with pytest.raises(SweepSpecError, match="samples"):
+            sweep(strategy="random", samples=samples)
+
+    @pytest.mark.parametrize(
+        "sample_seed", [float("nan"), float("inf"), 1.5, True, None]
+    )
+    def test_sample_seed_must_be_int(self, sample_seed):
+        with pytest.raises(SweepSpecError, match="sample_seed"):
+            sweep(strategy="random", samples=2, sample_seed=sample_seed)
+
+    def test_non_finite_axis_value_rejected_from_json(self):
+        text = json.dumps({
+            "base": {"env_id": "CartPole-v0"}, "axes": {"seed": [1]},
+        }).replace("[1]", "[NaN, 1]")
+        with pytest.raises(SweepSpecError, match="finite"):
+            SweepSpec.from_json(text)
 
     def test_no_axes(self):
         with pytest.raises(SweepSpecError, match="at least one axis"):

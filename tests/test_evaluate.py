@@ -1,5 +1,7 @@
 """Unit tests for repro.envs.evaluate."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.envs import (
 )
 from repro.envs.bipedal import BipedalWalkerEnv
 from repro.neat import NEATConfig, Population
-from repro.neat.network import FeedForwardNetwork
+from repro.neat.compiled import CompileError, compile_network
+from repro.neat.network import FeedForwardNetwork, feed_forward_layers
 
 
 class TestActionTranslation:
@@ -206,3 +209,68 @@ class TestFitnessEvaluator:
         genomes = list(pop.population.values())
         evaluator(genomes, config)
         assert all(g.fitness <= 0 for g in genomes)
+
+
+# ---------------------------------------------------------------------------
+# one evaluator, every mode: workers x vectorizer must not change results
+
+
+@functools.lru_cache(maxsize=None)
+def _differential_input(name):
+    """``(config, genomes, scenario)`` for one differential input: a
+    population evolved for two generations so it carries hidden nodes."""
+    from repro.core.runner import config_for_env
+    from repro.scenarios import get_scenario
+
+    config = config_for_env("CartPole-v0", 12, None)
+    population = Population(config, seed=4)
+    evolve = FitnessEvaluator("CartPole-v0", max_steps=40, seed=4)
+    for _ in range(2):
+        population.run_generation(evolve)
+    genomes = list(population.population.values())
+    scenario = get_scenario("cartpole-windy") if name == "wrapped" else None
+    if name == "uncompilable":
+        for genome in genomes[3:5]:
+            next(iter(genome.nodes.values())).aggregation = "max"
+            with pytest.raises(CompileError):
+                compile_network(genome, config.genome)
+    return config, genomes, scenario
+
+
+def _evaluate_twice(config, genomes, scenario, workers, vectorizer):
+    """Fitness maps, totals and mean depths of two consecutive calls
+    (the second runs on the next generation's episode seeds)."""
+    maps, depths = [], []
+    with FitnessEvaluator(
+        "CartPole-v0", episodes=2, max_steps=60, seed=11, workers=workers,
+        vectorizer=vectorizer, scenario=scenario,
+    ) as evaluator:
+        for _ in range(2):
+            evaluator(genomes, config)
+            maps.append({g.key: g.fitness for g in genomes})
+            depths.append(evaluator.last_mean_depth)
+        totals = evaluator.totals
+    return maps, (totals.episodes, totals.steps, totals.macs), depths
+
+
+@pytest.mark.parametrize("name", ["cartpole", "wrapped", "uncompilable"])
+@pytest.mark.parametrize("vectorizer", ["scalar", "numpy"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_mode_matches_serial_scalar(workers, vectorizer, name):
+    """Pooled and compiled evaluation, including the lockstep env
+    fallback and the per-genome compile fallback, reproduce the serial
+    scalar reference exactly."""
+    config, genomes, scenario = _differential_input(name)
+    expected = _evaluate_twice(config, genomes, scenario, 1, "scalar")
+    observed = _evaluate_twice(config, genomes, scenario, workers, vectorizer)
+    assert observed[0] == expected[0]
+    assert observed[1] == expected[1]
+    assert observed[0][0] != observed[0][1]  # the seed stream advanced
+    depth = sum(
+        len(feed_forward_layers(
+            config.genome.input_keys, config.genome.output_keys,
+            [k for k, c in g.connections.items() if c.enabled],
+        ))
+        for g in genomes
+    ) / len(genomes)
+    assert observed[2] == [depth, depth]
